@@ -58,11 +58,6 @@ struct BenchArgs {
   /// to the historical no-fault path; anything else arms the fault
   /// plane and the run auditor on every sweep sample.
   std::string faults = "off";
-  /// --shards N: shard count for the conservative-parallel engine
-  /// (sim/sharded.h). 1 (the default) keeps every run on the historical
-  /// single-queue engine byte-for-byte; fig13 adds a sharded-engine
-  /// counter table when N > 1. Other benches accept and ignore it.
-  int shards = 1;
 
   /// The armed fault plane for --faults, or null for "off".
   std::shared_ptr<const faults::FaultSpec> fault_plane() const {
@@ -103,9 +98,6 @@ inline constexpr FlagDoc kFlagTable[] = {
     {"--faults F",
      "fault-plane preset off|loss|burst|ctrl|flap|reset|chaos (default "
      "off: byte-identical to the no-fault path)"},
-    {"--shards N",
-     "sharded-engine worker count, bit-identical to shards=1 (fig13 adds "
-     "a sharded counter table; others accept and ignore)"},
 };
 
 inline constexpr const char* kCounterGlossary =
@@ -118,11 +110,7 @@ inline constexpr const char* kCounterGlossary =
     "peak_pending (event-queue high-water), pool_highwater (in-flight\n"
     "packet high-water) and peak_flow_bytes (live transport-agent\n"
     "footprint high-water — sublinear in total flows under streaming\n"
-    "mode). Sharded runs (--shards) add sync_rounds (conservative\n"
-    "windows dispatched), ring_handoffs (cross-shard records),\n"
-    "shard_threads (distinct worker threads that executed events — the\n"
-    "parallelism proof) and lookahead_ns (the conservative-sync window\n"
-    "slack). Deterministic operation/object counts only; wall time is\n"
+    "mode). Deterministic operation/object counts only; wall time is\n"
     "never measured or asserted (single-core CI).\n";
 
 inline void print_flag_block(std::FILE* out) {
@@ -207,12 +195,6 @@ inline BenchArgs parse_args(int argc, char** argv) {
       faults::FaultSpec::preset(a.faults, &error);
       if (!error.empty()) {
         std::fprintf(stderr, "--faults: %s\n", error.c_str());
-        std::exit(2);
-      }
-    } else if (arg == "--shards") {
-      a.shards = std::atoi(value(i));
-      if (a.shards < 1 || a.shards > 14) {
-        std::fprintf(stderr, "--shards: %d is not in [1, 14]\n", a.shards);
         std::exit(2);
       }
     } else if (arg == "--help" || arg == "-h") {
@@ -387,54 +369,6 @@ inline std::vector<harness::Column> engine_counter_columns(
       {"peak_flow_bytes",
        [](const EngineCounterSample& s) {
          return static_cast<double>(s.engine.peak_flow_bytes);
-       }},
-  };
-  std::vector<harness::Column> columns;
-  for (const auto& def : kDefs) {
-    harness::Column c;
-    c.label = def.label;
-    c.evaluate = [cache, stack, read = def.read](const harness::Scenario& sc,
-                                                 std::uint64_t seed) {
-      return read(cache->get(
-          sc, sc.topology.name + "/" + sc.workload.name, seed, stack));
-    };
-    columns.push_back(std::move(c));
-  }
-  return columns;
-}
-
-/// Sharded-engine counter columns (fig13's --shards table): the window/
-/// handoff costs of conservative sync plus the distinct-worker-thread
-/// proof. `events` repeats the executed count so the table reads
-/// standalone. The caller encodes the shard count in the scenario's
-/// options (EngineCounterCache label contract: use a fresh cache per
-/// table, or bake the count into the workload name).
-inline std::vector<harness::Column> shard_counter_columns(
-    std::shared_ptr<EngineCounterCache> cache, std::string stack) {
-  struct Def {
-    const char* label;
-    double (*read)(const EngineCounterSample&);
-  };
-  static const Def kDefs[] = {
-      {"events",
-       [](const EngineCounterSample& s) {
-         return static_cast<double>(s.engine.events_executed);
-       }},
-      {"sync_rounds",
-       [](const EngineCounterSample& s) {
-         return static_cast<double>(s.engine.sync_rounds);
-       }},
-      {"ring_handoffs",
-       [](const EngineCounterSample& s) {
-         return static_cast<double>(s.engine.ring_handoffs);
-       }},
-      {"shard_threads",
-       [](const EngineCounterSample& s) {
-         return static_cast<double>(s.engine.shard_threads);
-       }},
-      {"lookahead_ns",
-       [](const EngineCounterSample& s) {
-         return static_cast<double>(s.engine.lookahead_ns);
        }},
   };
   std::vector<harness::Column> columns;

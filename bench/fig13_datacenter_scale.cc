@@ -229,47 +229,5 @@ int main(int argc, char** argv) {
     mil.points.push_back(std::move(mil_pt));
     run_and_report(mil, args, " %12.1f");
   }
-
-  // --- Table 5 (--shards N): sharded-engine quick points ---
-  // Identical simulations partitioned across N worker threads
-  // (sim/sharded.h) — results are bit-identical to shards=1 (the
-  // determinism wall proves it), so the table reports only the sync
-  // costs: windows dispatched, cross-shard ring records, the
-  // distinct-thread proof and the lookahead. Off by default so the
-  // standard fig13 stdout stays byte-identical.
-  if (args.shards > 1) {
-    std::printf(
-        "\nFig 13 sharded engine (PDQ(Full), %d shards): conservative-\n"
-        "sync costs. Flow results and every committed counter are\n"
-        "bit-identical to shards=1; sync_rounds/ring_handoffs price the\n"
-        "windows, shard_threads proves distinct workers ran (never wall\n"
-        "time — single-core CI).\n\n",
-        args.shards);
-    auto shard_cache = std::make_shared<EngineCounterCache>();
-    harness::ExperimentSpec sharded;
-    sharded.name = "fig13_sharded_engine";
-    sharded.axis = "topology/flows";
-    sharded.metric = harness::metrics::sync_rounds();
-    sharded.trials = 1;
-    sharded.base_seed = base_seed;
-    sharded.base = dc_scenario(harness::TopologySpec::fat_tree(4), 1000);
-    sharded.shards = args.shards;
-    sharded.columns = shard_counter_columns(shard_cache, "PDQ(Full)");
-    // Fat-tree points only: DCell(2,1) has 3 attachment cells, too few
-    // for 4+ shards (make_shard_plan would refuse).
-    const std::vector<Point> shard_points = {
-        {"ft4/1k", harness::TopologySpec::fat_tree(4), 1000},
-        {"ft8/10k", harness::TopologySpec::fat_tree(8), 10000},
-    };
-    for (const auto& pt : shard_points) {
-      harness::SweepPoint p;
-      p.label = pt.label;
-      p.apply = [topo = pt.topo, flows = pt.flows](harness::Scenario& s) {
-        s = dc_scenario(topo, flows);
-      };
-      sharded.points.push_back(std::move(p));
-    }
-    run_and_report(sharded, args, " %12.0f");
-  }
   return 0;
 }

@@ -15,17 +15,6 @@ default ref HEAD) so the gate explicitly compares against the last
 BENCH_engine.json cannot weaken the gate. Pass --baseline-ref '' to
 read the working-tree file instead (local experimentation).
 
-Sharded engine: the gated counters are compared at shards=1 only (the
-benches CI feeds this gate run without --shards). events is
-bit-identical at any shard count (tests/sim_sharded_determinism_test.cc
-enforces it), but pkt_allocs/pool_highwater are execution-strategy-
-scoped — per-shard pools recycle independently — so only the shards=1
-numbers are comparable against the committed baseline. The fig13
---shards table (fig13_sharded_engine.json) is recorded in
-BENCH_engine.json as a snapshot, never gated: sync_rounds and
-ring_handoffs price the conservative windows and may legitimately move
-with partitioning changes.
-
 Usage:
   scripts/check_counter_regression.py <fresh.json> [<fresh.json>...] \
       [--baseline BENCH_engine.json] [--baseline-ref HEAD] \

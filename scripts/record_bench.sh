@@ -38,12 +38,7 @@ else
 fi
 
 echo "== fig13 quick sweep + streaming/hybrid scale points (engine counters) =="
-# --shards 4 additionally records the sharded-engine counter table
-# (sync_rounds / ring_handoffs / shard_threads). Snapshot only, never
-# gated: the gate compares events/pkt_allocs at shards=1, where the
-# committed baseline was recorded (pool counters are execution-strategy
-# -scoped; see docs/architecture.md "Sharded execution").
-"$FIG13" --scale --shards 4 --json --no-csv --results-dir "$RESULTS"
+"$FIG13" --scale --json --no-csv --results-dir "$RESULTS"
 
 FIG14="$BUILD/bench/fig14_dynamic_traffic"
 if [[ -x "$FIG14" ]]; then
@@ -95,7 +90,6 @@ def load_counters(name):
 fig13 = load_counters("fig13_engine_counters.json")
 fig13_scale = load_counters("fig13_scale_streaming.json")
 fig13_hybrid = load_counters("fig13_scale_hybrid.json")
-fig13_sharded = load_counters("fig13_sharded_engine.json")
 fig14 = load_counters("fig14_engine_counters.json")
 fig15 = load_counters("fig15_engine_counters.json")
 fig16 = load_counters("fig16_engine_counters.json")
@@ -111,8 +105,7 @@ doc = {
                "time (single-core CI). Regenerate with scripts/record_bench.sh; "
                "scripts/check_counter_regression.py gates CI on it against "
                "the last committed copy.",
-    "source": "fig13_datacenter_scale (--shards 4) / "
-              "fig14_dynamic_traffic / "
+    "source": "fig13_datacenter_scale / fig14_dynamic_traffic / "
               "fig15_spine_leaf / fig16_loss_resilience --json "
               "(quick points)",
     "base_seed": base_seed,
@@ -126,12 +119,6 @@ if fig13_hybrid is not None:
     # headline — the fluid middle removes per-packet events from
     # elephant bytes.
     doc["fig13_scale_hybrid"] = fig13_hybrid
-if fig13_sharded is not None:
-    # Sharded-engine table (fig13 --shards 4): snapshot only, never
-    # gated — events are bit-identical to shards=1 by the determinism
-    # wall, and sync_rounds/ring_handoffs price the conservative
-    # windows, which may legitimately move with partitioning changes.
-    doc["fig13_sharded_engine"] = fig13_sharded
 if fig14 is not None:
     doc["fig14_engine_counters"] = fig14
 if fig15 is not None:
@@ -146,9 +133,8 @@ if fig16 is not None:
 # entry is appended only when it belongs to a different commit, so
 # running this script twice between commits never eats history.
 COUNTER_KEYS = ("fig13_engine_counters", "fig13_scale_streaming",
-                "fig13_scale_hybrid", "fig13_sharded_engine",
-                "fig14_engine_counters", "fig15_engine_counters",
-                "fig16_engine_counters")
+                "fig13_scale_hybrid", "fig14_engine_counters",
+                "fig15_engine_counters", "fig16_engine_counters")
 history = []
 if os.path.exists(out_path):
     with open(out_path) as f:

@@ -21,7 +21,7 @@ void PdqLinkController::attach(net::Port& port) {
   dormant_interval_ = static_cast<sim::Time>(
       cfg_.rc_interval_rtts * static_cast<double>(cfg_.default_rtt));
   assert(dormant_interval_ > 0);
-  dormant_seq_ = port.owner().topo().sim().reserve_event_order(&dormant_seq_);
+  dormant_seq_ = port.owner().topo().sim().reserve_event_order();
 }
 
 net::NodeId PdqLinkController::my_id() const { return self_; }
@@ -470,8 +470,7 @@ void PdqLinkController::rate_controller_tick() {
     dormant_interval_ = interval;
     // The always-on engine would schedule the anchor+interval tick right
     // here; reserving its seq makes the first grid re-entry tie-exact.
-    dormant_seq_ =
-        port_->owner().topo().sim().reserve_event_order(&dormant_seq_);
+    dormant_seq_ = port_->owner().topo().sim().reserve_event_order();
     return;
   }
   schedule_tick(interval);

@@ -248,18 +248,6 @@ MetricSpec peak_flow_bytes() {
           }};
 }
 
-MetricSpec sync_rounds() {
-  return {"sync_rounds", [](const RunContext& c) {
-            return static_cast<double>(c.result->engine.sync_rounds);
-          }};
-}
-
-MetricSpec ring_handoffs() {
-  return {"ring_handoffs", [](const RunContext& c) {
-            return static_cast<double>(c.result->engine.ring_handoffs);
-          }};
-}
-
 namespace {
 
 struct Window {

@@ -173,12 +173,6 @@ MetricSpec pool_highwater();
 /// High-water mark of live transport-agent footprint bytes — sublinear
 /// in total flows under streaming mode, linear on the default path.
 MetricSpec peak_flow_bytes();
-/// Conservative sync windows dispatched by the sharded engine
-/// (sim/sharded.h); 0 under the single-queue engine.
-MetricSpec sync_rounds();
-/// Cross-shard ring records committed by the sharded engine; 0 under
-/// the single-queue engine.
-MetricSpec ring_handoffs();
 
 // Steady-state (windowed) metrics for dynamic-traffic scenarios. Only
 // flows whose start_time falls in the timeline's measurement window
@@ -258,11 +252,6 @@ struct ExperimentSpec {
   /// (watchdog + end-of-run invariants) unless the scenario sets its
   /// own RunOptions::audit. Applied after each SweepPoint's `apply`.
   std::shared_ptr<const faults::FaultSpec> fault_plane;
-  /// > 1: every run partitions its simulation across this many shard
-  /// worker threads (RunOptions::shards; sim/sharded.h) — bit-identical
-  /// results by the determinism wall. Applied after each SweepPoint's
-  /// `apply`, like streaming_metrics.
-  int shards = 1;
 };
 
 }  // namespace pdq::harness

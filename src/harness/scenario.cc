@@ -12,7 +12,6 @@
 #include "harness/timeline.h"
 #include "net/node.h"
 #include "net/packet_pool.h"
-#include "net/shard_plan.h"
 #include "stats/streaming.h"
 
 namespace pdq::harness {
@@ -83,37 +82,6 @@ RunResult run_prepared(ProtocolStack& stack, sim::Simulator& simulator,
                        net::Topology& topo,
                        const std::vector<net::FlowSpec>& flows,
                        const RunOptions& opts) {
-  // ---- sharded parallel engine (sim/sharded.h) ----
-  // Installed before any event is scheduled: stack installation below
-  // already routes setup events to their owning shards. v1 runs only
-  // the default materialize-everything path; every excluded feature
-  // fails loudly rather than silently degrading to shards=1.
-  const bool sharded = opts.shards > 1;
-  std::unique_ptr<net::ShardedSession> shard_session;
-  if (sharded) {
-    if (opts.streaming != nullptr || opts.hybrid != nullptr ||
-        opts.faults != nullptr || opts.audit != nullptr ||
-        opts.timeline != nullptr || opts.watch_link.has_value() ||
-        opts.per_flow_series) {
-      std::fprintf(stderr,
-                   "run_prepared: sharded execution (RunOptions::shards > 1) "
-                   "supports only the default materialize-everything path — "
-                   "streaming, hybrid, timeline, fault, audit, watch-link and "
-                   "per-flow-series runs must use shards=1\n");
-      std::exit(2);
-    }
-    std::string err;
-    shard_session =
-        net::ShardedSession::create(simulator, topo, opts.shards, &err);
-    if (shard_session == nullptr) {
-      std::fprintf(stderr, "run_prepared: cannot shard this topology: %s\n",
-                   err.c_str());
-      std::exit(2);
-    }
-  }
-  sim::ShardExecutor* shard_exec =
-      shard_session != nullptr ? &shard_session->executor() : nullptr;
-
   stack.install(topo);
 
   RunResult result;
@@ -160,6 +128,11 @@ RunResult run_prepared(ProtocolStack& stack, sim::Simulator& simulator,
   // Timeline events still to fire; the run must not stop before the
   // last one (it may inject flows). Zero when there is no timeline.
   std::size_t timeline_pending = 0;
+  // Checked after every decrement of either count: the run is over once
+  // no flow is unfinished and no timeline event is left to inject more.
+  const auto stop_if_drained = [&] {
+    if (remaining == 0 && timeline_pending == 0) simulator.stop();
+  };
 
   const bool streaming = opts.streaming != nullptr;
   assert(!(streaming && opts.per_flow_series) &&
@@ -328,7 +301,8 @@ RunResult run_prepared(ProtocolStack& stack, sim::Simulator& simulator,
       if (hybrid) r.bytes_acked = hyb_done[idx];
       run_stats->add(r, simulator.now());
       slots[idx].sender_done = true;
-      if (--remaining == 0 && timeline_pending == 0) simulator.stop();
+      --remaining;
+      stop_if_drained();
       return;
     }
 
@@ -345,14 +319,8 @@ RunResult run_prepared(ProtocolStack& stack, sim::Simulator& simulator,
         schedule_sweep();
       };
     }
-    std::unique_ptr<net::Agent> receiver;
-    {
-      // Agent construction may schedule events touching the endpoint's
-      // state; route them to its shard (inert single-shard).
-      sim::Simulator::ScopedShardTarget target(f.dst);
-      receiver = stack.make_receiver(std::move(rctx));
-      topo.host(f.dst).attach_receiver(f.id, receiver.get());
-    }
+    auto receiver = stack.make_receiver(std::move(rctx));
+    topo.host(f.dst).attach_receiver(f.id, receiver.get());
 
     net::AgentContext sctx;
     sctx.topo = &topo;
@@ -369,28 +337,18 @@ RunResult run_prepared(ProtocolStack& stack, sim::Simulator& simulator,
         slots[idx].sender_done = true;
         retire_ready.push_back(idx);
         schedule_sweep();
-        if (--remaining == 0 && timeline_pending == 0) simulator.stop();
-      };
-    } else if (shard_exec != nullptr) {
-      // Workers must not race on `remaining`; the executor counts
-      // completions and finds the interleaving-independent stop point
-      // at the window barrier (see expect_flow_completions below).
-      sctx.on_done = [shard_exec](const net::FlowResult&) {
-        shard_exec->note_flow_done();
+        --remaining;
+        stop_if_drained();
       };
     } else {
-      sctx.on_done = [&remaining, &timeline_pending,
-                      &simulator](const net::FlowResult&) {
-        if (--remaining == 0 && timeline_pending == 0) simulator.stop();
+      sctx.on_done = [&remaining, &stop_if_drained](const net::FlowResult&) {
+        --remaining;
+        stop_if_drained();
       };
     }
     sender_routes[idx] = sctx.route;
-    std::unique_ptr<net::Agent> sender;
-    {
-      sim::Simulator::ScopedShardTarget target(f.src);
-      sender = stack.make_sender(std::move(sctx));
-      topo.host(f.src).attach_sender(f.id, sender.get());
-    }
+    auto sender = stack.make_sender(std::move(sctx));
+    topo.host(f.src).attach_sender(f.id, sender.get());
     senders[idx] = sender.get();
 
     FlowSlot& slot = slots[idx];
@@ -410,7 +368,8 @@ RunResult run_prepared(ProtocolStack& stack, sim::Simulator& simulator,
     slots[idx].sender_done = true;
     retire_ready.push_back(idx);
     schedule_sweep();
-    if (--remaining == 0 && timeline_pending == 0) simulator.stop();
+    --remaining;
+    stop_if_drained();
   };
   // Force-releases whatever head-segment agents are still attached
   // before the tail segment re-attaches under the same FlowId. The
@@ -544,8 +503,6 @@ RunResult run_prepared(ProtocolStack& stack, sim::Simulator& simulator,
       });
     } else {
       materialize(idx);
-      // The start event mutates the sender's host: its shard owns it.
-      sim::Simulator::ScopedShardTarget target(f.src);
       simulator.schedule_at(f.start_time,
                             [a = senders[idx]] { a->start(); });
     }
@@ -715,7 +672,8 @@ RunResult run_prepared(ProtocolStack& stack, sim::Simulator& simulator,
     for (const TimelineEvent* e : ordered) {
       simulator.schedule_at(e->at, [&, e] {
         e->action(tctx);
-        if (--timeline_pending == 0 && remaining == 0) simulator.stop();
+        --timeline_pending;
+        stop_if_drained();
       });
     }
   }
@@ -740,6 +698,23 @@ RunResult run_prepared(ProtocolStack& stack, sim::Simulator& simulator,
                    v.detail.c_str());
     }
     audit_report->violations.push_back(std::move(v));
+  };
+  // The diagnostic both the stall dump and the stranded-flow audit end
+  // with: up to 8 still-pending flows, then the per-link controller
+  // state.
+  const auto describe_unfinished = [&] {
+    std::string out;
+    std::size_t listed = 0;
+    for (std::size_t i = 0; i < senders.size() && listed < 8; ++i) {
+      if (senders[i] == nullptr) continue;
+      const net::FlowResult* r = senders[i]->flow_result();
+      if (r == nullptr || r->outcome != net::FlowOutcome::kPending) continue;
+      out += "  flow=" + std::to_string(sender_specs[i].id) + " acked " +
+             std::to_string(r->bytes_acked) + " of " +
+             std::to_string(sender_specs[i].size_bytes) + " bytes\n";
+      ++listed;
+    }
+    return out + describe_controllers(topo, 12);
   };
   // Progress token: (unfinished flows, Σ acked bytes, live agents).
   // Materialization and retirement count as progress, so late flow
@@ -780,23 +755,7 @@ RunResult run_prepared(ProtocolStack& stack, sim::Simulator& simulator,
             sim::to_millis(simulator.now()), audit->stall_checks,
             sim::to_millis(audit->progress_interval), remaining, live,
             static_cast<unsigned long long>(simulator.current_event_seq()));
-        std::string detail = buf;
-        std::size_t listed = 0;
-        for (std::size_t i = 0; i < senders.size() && listed < 8; ++i) {
-          if (senders[i] == nullptr) continue;
-          const net::FlowResult* r = senders[i]->flow_result();
-          if (r == nullptr || r->outcome != net::FlowOutcome::kPending)
-            continue;
-          std::snprintf(buf, sizeof(buf),
-                        "  flow=%lld acked %lld of %lld bytes\n",
-                        static_cast<long long>(sender_specs[i].id),
-                        static_cast<long long>(r->bytes_acked),
-                        static_cast<long long>(sender_specs[i].size_bytes));
-          detail += buf;
-          ++listed;
-        }
-        detail += describe_controllers(topo, 12);
-        audit_log({"no_progress", std::move(detail)});
+        audit_log({"no_progress", buf + describe_unfinished()});
         if (audit->stop_on_stall) {
           simulator.stop();
           return;  // no re-arm
@@ -820,8 +779,6 @@ RunResult run_prepared(ProtocolStack& stack, sim::Simulator& simulator,
   const std::uint64_t coalesced_before = topo.total_events_coalesced();
   const std::uint64_t scans_before = topo.total_flowlist_scan_ops();
 
-  if (shard_exec != nullptr) shard_exec->expect_flow_completions(remaining);
-
   result.engine.events_executed = simulator.run(opts.horizon);
 
   result.engine.events_scheduled =
@@ -838,47 +795,15 @@ RunResult run_prepared(ProtocolStack& stack, sim::Simulator& simulator,
   result.engine.pool_highwater = pool.live_highwater();
   result.engine.peak_flow_bytes = peak_flow_bytes;
 
-  if (shard_exec != nullptr) {
-    // Packets live in the per-shard pools, not the coordinator's
-    // thread-local pool (whose deltas above are zero). Allocation
-    // counts are execution-strategy-scoped: deterministic for a fixed
-    // shard count, not comparable across counts.
-    result.engine.packet_allocs = shard_session->packet_allocs();
-    result.engine.packet_acquires = shard_session->packet_acquires();
-    result.engine.pool_highwater = shard_session->pool_highwater();
-    const sim::ShardCounters& sc = shard_exec->counters();
-    result.engine.sync_rounds = sc.sync_rounds;
-    result.engine.ring_handoffs = sc.ring_handoffs;
-    result.engine.lookahead_ns = sc.lookahead_ns;
-    result.engine.shards = sc.shards;
-    result.engine.shard_threads = sc.shard_threads;
-    // The sharded on_done path never touched `remaining`; adopt the
-    // executor's committed completion count for the post-run checks.
-    remaining = static_cast<std::size_t>(shard_exec->flows_remaining());
-  }
-
   // ---- end-of-run invariant audit ----
   if (audit != nullptr) {
     if (audit->check_stranded && remaining > 0 &&
         simulator.pending_events() == 0) {
       // The PR-8 signature: a drained event queue with unfinished flows
       // means someone waits on a packet that will never come.
-      std::string detail = "event queue drained with " +
-                           std::to_string(remaining) +
-                           " flow(s) unfinished:\n";
-      std::size_t listed = 0;
-      for (std::size_t i = 0; i < senders.size() && listed < 8; ++i) {
-        if (senders[i] == nullptr) continue;
-        const net::FlowResult* r = senders[i]->flow_result();
-        if (r == nullptr || r->outcome != net::FlowOutcome::kPending)
-          continue;
-        detail += "  flow=" + std::to_string(sender_specs[i].id) +
-                  " acked " + std::to_string(r->bytes_acked) + " of " +
-                  std::to_string(sender_specs[i].size_bytes) + " bytes\n";
-        ++listed;
-      }
-      detail += describe_controllers(topo, 12);
-      audit_log({"stranded_flow", std::move(detail)});
+      audit_log({"stranded_flow",
+                 "event queue drained with " + std::to_string(remaining) +
+                     " flow(s) unfinished:\n" + describe_unfinished()});
     }
     if (audit->require_drain && remaining > 0) {
       audit_log({"unfinished",
@@ -962,13 +887,6 @@ RunResult run_prepared(ProtocolStack& stack, sim::Simulator& simulator,
   result.end_time = simulator.now();
   result.queue_drops = topo.total_queue_drops();
   result.wire_drops = topo.total_wire_drops();
-  if (shard_exec != nullptr) {
-    // Port counters include drops from overshoot events (events past
-    // the stop point that executed inside the final window); the
-    // committed total is truncated exactly as the sequential run's.
-    result.queue_drops =
-        static_cast<std::int64_t>(shard_exec->committed_queue_drops());
-  }
   if (streaming) {
     // Flows caught mid-fluid at the horizon fold as pending with the
     // bytes their head + fluid progress delivered (their slots are

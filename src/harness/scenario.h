@@ -81,14 +81,6 @@ class ProtocolStack {
 struct RunOptions {
   sim::Time horizon = 30 * sim::kSecond;  // hard stop
   std::uint64_t seed = 1;
-  /// Shard count for the conservative-parallel engine (sim/sharded.h):
-  /// the topology is cut into `shards` pieces, each run by its own
-  /// worker thread, with results proven bit-identical to shards=1 by
-  /// the determinism wall. 1 (the default) runs the historical
-  /// single-queue engine byte-for-byte. Sharded runs exclude streaming,
-  /// hybrid, timeline, faults, audit, watch_link, per_flow_series and
-  /// lossy/down links; violations abort with a diagnostic.
-  int shards = 1;
   /// Link to instrument with a utilization meter and queue series.
   std::optional<std::pair<net::NodeId, net::NodeId>> watch_link;
   sim::Time meter_bin = sim::kMillisecond;
@@ -152,15 +144,6 @@ struct EngineCounters {
   /// (Agent::footprint_bytes sums) — sublinear in total flows under
   /// streaming mode, linear under the default path.
   std::uint64_t peak_flow_bytes = 0;
-
-  // Sharded-engine counters (sim/sharded.h). All zero / one under the
-  // single-queue engine; the determinism wall asserts shard_threads
-  // equals the shard count (distinct-thread proof — never wall time).
-  std::uint64_t sync_rounds = 0;    // conservative windows dispatched
-  std::uint64_t ring_handoffs = 0;  // cross-shard ring records committed
-  std::uint64_t lookahead_ns = 0;   // conservative-sync lookahead used
-  std::uint64_t shards = 1;
-  std::uint64_t shard_threads = 0;  // distinct worker threads that ran events
 
   /// Percent of acquires served from the free list (0 when idle) — the
   /// single definition behind metrics::packet_recycle_percent() and the

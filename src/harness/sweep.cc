@@ -199,9 +199,6 @@ SweepResults SweepRunner::run(const ExperimentSpec& spec) const {
     if (spec.fault_plane != nullptr) {
       s.options.faults = spec.fault_plane;
     }
-    if (spec.shards > 1) {
-      s.options.shards = spec.shards;
-    }
     scenarios.push_back(std::move(s));
     columns[p].reserve(num_cols);
     for (std::size_t c = 0; c < num_cols; ++c) {

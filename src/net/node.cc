@@ -112,13 +112,7 @@ void Node::transmit_out(Port& port, PacketPtr p) {
                               static_cast<double>(port.queued_bytes()));
   }
   if (accepted && port.controller()) port.controller()->on_enqueue();
-  if (!accepted) {
-    // Attribute the admission drop to the currently executing event so
-    // the sharded engine's stop truncation can reproduce the sequential
-    // drop total exactly (no-op single-shard).
-    topo_.sim().note_queue_drop();
-    return;
-  }
+  if (!accepted) return;
   if (!port.busy_) {
     start_tx(port);
   } else if (port.coalesced_tx_ && !port.resume_scheduled_) {
@@ -181,10 +175,8 @@ void Node::start_tx(Port& port) {
     port.busy_until_ = done;
     port.tx_started_ = topo_.sim().now();
     // Reserve the tie-break position the chain's tx-complete event would
-    // have held; the arrival below and any resume event inherit it. The
-    // keeper pointer lets the sharded engine's barrier relabel the
-    // reservation in place if the port stays idle across a window.
-    port.tx_seq_ = topo_.sim().reserve_event_order(&port.tx_seq_);
+    // have held; the arrival below and any resume event inherit it.
+    port.tx_seq_ = topo_.sim().reserve_event_order();
 
     const auto& r = p->route();
     const bool final_hop = static_cast<std::size_t>(p->hop) + 2 >= r.size();
@@ -201,8 +193,6 @@ void Node::start_tx(Port& port) {
       ++port.events_coalesced;  // saved the tx-complete event
       // As-if vtime `done`: the chain's tx-complete would have scheduled
       // this arrival at serialization end, so it must tie-break as such.
-      // The arrival mutates the downstream node — target its shard.
-      sim::Simulator::ScopedShardTarget target(link->to);
       topo_.sim().schedule_at_reserved(
           arrive, done, port.tx_seq_,
           [&dst, link, p = std::move(p)]() mutable {
@@ -219,7 +209,6 @@ void Node::start_tx(Port& port) {
       // tx-complete scheduled at `done`.
       const sim::Time processing = dst.processing_delay();
       port.events_coalesced += processing > 0 ? 2 : 1;
-      sim::Simulator::ScopedShardTarget target(link->to);
       topo_.sim().schedule_at_reserved(arrive + processing,
                                        processing > 0 ? arrive : done,
                                        port.tx_seq_,

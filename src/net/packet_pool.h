@@ -15,7 +15,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -56,17 +55,8 @@ class PacketPool {
     PacketPool* previous_;
   };
 
-  /// Arms a spinlock around acquire()/recycle(). The sharded engine
-  /// (sim/sharded.h) hands single-reference packets across shards, so a
-  /// packet may drop its last reference on a thread other than its
-  /// origin pool's — the guard serializes that free-list push against
-  /// the owner shard's acquires. Off (the default) the branch is the
-  /// only cost; single-threaded runs never pay for the lock.
-  void set_cross_thread_guard(bool on) { guarded_ = on; }
-
   /// A fresh, fully reset packet with one reference.
   PacketPtr acquire() {
-    const Guard g(*this);
     ++acquires_;
     Packet* p;
     if (!free_.empty()) {
@@ -86,7 +76,6 @@ class PacketPool {
 
   /// Called by PacketPtr when the last reference drops.
   void recycle(Packet* p) {
-    const Guard g(*this);
     assert(p->hook_.origin == this && p->hook_.refs == 0);
     p->reset();  // drop route/header state now, not at next acquire
     free_.push_back(p);
@@ -128,31 +117,11 @@ class PacketPool {
   }
 
  private:
-  class Guard {
-   public:
-    explicit Guard(PacketPool& p) : p_(p) {
-      if (p_.guarded_) {
-        while (p_.lock_.test_and_set(std::memory_order_acquire)) {
-        }
-      }
-    }
-    ~Guard() {
-      if (p_.guarded_) p_.lock_.clear(std::memory_order_release);
-    }
-    Guard(const Guard&) = delete;
-    Guard& operator=(const Guard&) = delete;
-
-   private:
-    PacketPool& p_;
-  };
-
   std::vector<std::unique_ptr<Packet>> owned_;  // live + idle packets
   std::vector<Packet*> free_;                   // subset of owned_, idle
   std::uint64_t acquires_ = 0;
   std::uint64_t allocated_total_ = 0;
   std::size_t live_highwater_ = 0;
-  std::atomic_flag lock_ = ATOMIC_FLAG_INIT;
-  bool guarded_ = false;
 };
 
 }  // namespace pdq::net

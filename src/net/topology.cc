@@ -73,7 +73,6 @@ void Topology::add_duplex_link(NodeId a, NodeId b, const LinkDefaults& d) {
   adjacency_[static_cast<std::size_t>(a)].push_back(b);
   adjacency_[static_cast<std::size_t>(b)].push_back(a);
   // Topology changed: every derived path product is stale.
-  const std::lock_guard<std::mutex> lock(route_mu_);
   path_cache_.clear();
   route_cache_.clear();
   disjoint_cache_.clear();
@@ -82,12 +81,6 @@ void Topology::add_duplex_link(NodeId a, NodeId b, const LinkDefaults& d) {
 
 const std::vector<std::vector<NodeId>>& Topology::shortest_paths(NodeId src,
                                                                  NodeId dst) {
-  const std::lock_guard<std::mutex> lock(route_mu_);
-  return shortest_paths_unlocked(src, dst);
-}
-
-const std::vector<std::vector<NodeId>>& Topology::shortest_paths_unlocked(
-    NodeId src, NodeId dst) {
   const auto key = pair_key(src, dst);
   auto it = path_cache_.find(key);
   if (it != path_cache_.end()) return it->second;
@@ -171,8 +164,7 @@ std::vector<std::vector<NodeId>> Topology::compute_shortest_paths(
 
 std::vector<NodeId> Topology::ecmp_path(FlowId flow, NodeId src, NodeId dst,
                                         std::uint64_t salt) {
-  const std::lock_guard<std::mutex> lock(route_mu_);
-  const auto& paths = shortest_paths_unlocked(src, dst);
+  const auto& paths = shortest_paths(src, dst);
   assert(!paths.empty() && "no path between endpoints");
   const std::uint64_t h =
       mix64(static_cast<std::uint64_t>(flow) * 0x9e3779b97f4a7c15ULL + salt);
@@ -181,8 +173,7 @@ std::vector<NodeId> Topology::ecmp_path(FlowId flow, NodeId src, NodeId dst,
 
 RouteRef Topology::ecmp_route(FlowId flow, NodeId src, NodeId dst,
                               std::uint64_t salt) {
-  const std::lock_guard<std::mutex> lock(route_mu_);
-  const auto& paths = shortest_paths_unlocked(src, dst);
+  const auto& paths = shortest_paths(src, dst);
   assert(!paths.empty() && "no path between endpoints");
   const std::uint64_t h =
       mix64(static_cast<std::uint64_t>(flow) * 0x9e3779b97f4a7c15ULL + salt);
@@ -196,7 +187,6 @@ RouteRef Topology::ecmp_route(FlowId flow, NodeId src, NodeId dst,
 const std::vector<std::vector<NodeId>>& Topology::disjoint_paths(NodeId src,
                                                                  NodeId dst,
                                                                  int k) {
-  const std::lock_guard<std::mutex> lock(route_mu_);
   const auto key = pair_key(src, dst);
   auto it = disjoint_cache_.find(key);
   if (it != disjoint_cache_.end()) return it->second;
@@ -287,7 +277,6 @@ void Topology::set_link_state(NodeId a, NodeId b, bool up) {
   // Same invalidation as add_duplex_link: every derived path product is
   // stale. In-flight RouteRefs stay valid (immutable, refcounted); only
   // new lookups recompute.
-  const std::lock_guard<std::mutex> lock(route_mu_);
   path_cache_.clear();
   route_cache_.clear();
   disjoint_cache_.clear();

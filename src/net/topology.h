@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -95,9 +94,6 @@ class Topology {
   template <typename Factory>
   void install_controllers(Factory&& make) {
     for (auto& n : nodes_) {
-      // Controllers schedule setup events (e.g. rate ticks) that must
-      // land on the owning node's shard under sharded execution.
-      sim::Simulator::ScopedShardTarget guard(n->id());
       for (auto& port : n->ports()) {
         auto c = make(*port);
         port->set_controller(std::move(c));
@@ -112,7 +108,6 @@ class Topology {
   template <typename Factory>
   void install_multi_queues(Factory&& make) {
     for (auto& n : nodes_) {
-      sim::Simulator::ScopedShardTarget guard(n->id());
       for (auto& port : n->ports()) {
         auto mq = make(*port);
         if (mq) port->set_multi_queue(std::move(mq));
@@ -158,9 +153,6 @@ class Topology {
  private:
   std::vector<std::vector<NodeId>> compute_shortest_paths(NodeId src,
                                                           NodeId dst) const;
-  /// Cache lookup bodies; callers hold route_mu_.
-  const std::vector<std::vector<NodeId>>& shortest_paths_unlocked(NodeId src,
-                                                                  NodeId dst);
 
   sim::Simulator& sim_;
   sim::Rng rng_;
@@ -176,13 +168,6 @@ class Topology {
   /// every routing-time check.
   std::unordered_set<std::uint64_t> down_links_;
   std::uint64_t version_ = 0;
-  /// Serializes lazy path/route/disjoint cache fills: shard workers may
-  /// route concurrently in-run (M-PDQ subflow rebalance). References
-  /// returned to callers stay valid — unordered_map never invalidates
-  /// element references on insert, and cache clears happen only in
-  /// topology mutations, which sharded runs exclude. Uncontended (and
-  /// cheap) in single-shard runs.
-  std::mutex route_mu_;
   std::unordered_map<std::uint64_t, std::vector<std::vector<NodeId>>>
       path_cache_;
   std::unordered_map<std::uint64_t, std::vector<std::vector<NodeId>>>

@@ -5,13 +5,6 @@
 // moved into the queue and destroyed after they run (or are cancelled).
 // Units: all times are integer nanoseconds (sim::Time); `delay` is relative
 // to now(), `at` is absolute simulation time.
-//
-// Sharded execution (sim/sharded.h) installs a ShardHooks backend; every
-// public operation then routes to the shard that owns the calling context
-// (or the coordinator between windows). With no hooks installed — the
-// default — the single queue below runs exactly as before; the sharded
-// engine is bit-identical to it by construction, and the determinism wall
-// (tests/sim_sharded_determinism_test.cc) holds both to that claim.
 #pragma once
 
 #include <cassert>
@@ -23,54 +16,18 @@
 
 namespace pdq::sim {
 
-/// Backend interface the sharded executor implements. Each method must
-/// resolve the calling context itself: a shard worker thread mid-window,
-/// or the quiesced coordinator between windows / during setup.
-class ShardHooks {
- public:
-  virtual ~ShardHooks() = default;
-  virtual Time now() const = 0;
-  virtual Time current_vtime() const = 0;
-  virtual std::uint64_t current_seq() const = 0;
-  virtual EventId schedule(Time at, Time vtime, EventFn fn) = 0;
-  virtual EventId schedule_reserved(Time at, Time vtime, std::uint64_t seq,
-                                    EventFn fn) = 0;
-  /// `keeper`, when non-null, is the caller's storage cell for the
-  /// returned reservation; the barrier relabels it in place when the
-  /// reservation was provisional (see sim/sharded.h).
-  virtual std::uint64_t reserve(std::uint64_t* keeper) = 0;
-  virtual void cancel(EventId id) = 0;
-  virtual void stop() = 0;
-  virtual void note_queue_drop() = 0;
-  virtual std::uint64_t run(Time until) = 0;
-  virtual Time end_now() const = 0;
-  virtual std::size_t pending() const = 0;
-  virtual std::uint64_t scheduled_total() const = 0;
-  virtual std::uint64_t cancelled_total() const = 0;
-  virtual std::size_t peak_pending() const = 0;
-};
-
 class Simulator {
  public:
-  Time now() const { return shard_ ? shard_->now() : now_; }
+  Time now() const { return now_; }
 
   /// Schedules `fn` at `delay` nanoseconds from now (delay >= 0).
   EventId schedule_in(Time delay, EventFn fn) {
     assert(delay >= 0);
-    if (shard_) {
-      const Time t = shard_->now();
-      return shard_->schedule(t + delay, t, std::move(fn));
-    }
     return queue_.schedule_as_if(now_ + delay, now_, std::move(fn));
   }
 
   /// Schedules `fn` at absolute time `at` (>= now).
   EventId schedule_at(Time at, EventFn fn) {
-    if (shard_) {
-      const Time t = shard_->now();
-      assert(at >= t);
-      return shard_->schedule(at, t, std::move(fn));
-    }
     assert(at >= now_);
     return queue_.schedule_as_if(at, now_, std::move(fn));
   }
@@ -80,64 +37,32 @@ class Simulator {
   /// Used by event coalescing to preserve the tie order of the event
   /// chain it elides (see event_queue.h).
   EventId schedule_at_as_if(Time at, Time vtime, EventFn fn) {
-    if (shard_) {
-      assert(at >= shard_->now());
-      return shard_->schedule(at, vtime, std::move(fn));
-    }
     assert(at >= now_);
     return queue_.schedule_as_if(at, vtime, std::move(fn));
   }
 
   /// Claims the next event sequence number (see EventQueue::reserve_seq).
-  /// Callers that *store* the reservation across events must pass the
-  /// address of that storage: under sharded execution the number handed
-  /// out mid-window is provisional, and the barrier rewrites the cell to
-  /// the true sequential value. Callers that consume the reservation
-  /// before returning to the event loop may pass nothing.
-  std::uint64_t reserve_event_order(std::uint64_t* keeper = nullptr) {
-    if (shard_) return shard_->reserve(keeper);
-    return queue_.reserve_seq();
-  }
+  std::uint64_t reserve_event_order() { return queue_.reserve_seq(); }
 
   /// Tie-break key of the event currently executing — lets coalescing
   /// callers decide whether an elided chain event with a reserved key
   /// would already have run at this instant.
-  Time current_event_vtime() const {
-    return shard_ ? shard_->current_vtime() : cur_vtime_;
-  }
-  std::uint64_t current_event_seq() const {
-    return shard_ ? shard_->current_seq() : cur_seq_;
-  }
+  Time current_event_vtime() const { return cur_vtime_; }
+  std::uint64_t current_event_seq() const { return cur_seq_; }
 
   /// schedule_at_as_if() with a reserved sequence number: the event takes
   /// the exact tie-break position of the chain event reserved for.
   EventId schedule_at_reserved(Time at, Time vtime, std::uint64_t seq,
                                EventFn fn) {
-    if (shard_) {
-      assert(at >= shard_->now());
-      return shard_->schedule_reserved(at, vtime, seq, std::move(fn));
-    }
     assert(at >= now_);
     return queue_.schedule_with_seq(at, vtime, seq, std::move(fn));
   }
 
-  void cancel(EventId id) {
-    if (shard_) {
-      shard_->cancel(id);
-      return;
-    }
-    queue_.cancel(id);
-  }
+  void cancel(EventId id) { queue_.cancel(id); }
 
   /// Runs until the queue drains, the clock passes `until`, or stop()
   /// is called. Returns the number of events executed.
   std::uint64_t run(Time until = kTimeInfinity) {
-    if (shard_) {
-      const std::uint64_t executed = shard_->run(until);
-      now_ = shard_->end_now();
-      events_executed_ += executed;
-      return executed;
-    }
     std::uint64_t executed = 0;
     while (!stopped_ && !queue_.empty()) {
       if (queue_.next_time() > until) break;
@@ -158,78 +83,24 @@ class Simulator {
   }
 
   /// Stops the current run() after the in-flight event returns.
-  void stop() {
-    if (shard_) {
-      shard_->stop();
-      return;
-    }
-    stopped_ = true;
-  }
+  void stop() { stopped_ = true; }
 
-  /// Attributes a queue-admission drop to the currently executing event
-  /// (no-op single-shard; the sharded engine needs per-event attribution
-  /// to truncate the drop counter exactly at the stop point).
-  void note_queue_drop() {
-    if (shard_) shard_->note_queue_drop();
-  }
-
-  bool idle() const { return pending_events() == 0; }
+  bool idle() const { return queue_.empty(); }
   /// Exactly the number of events still scheduled to run (cancelled
   /// entries excluded).
-  std::size_t pending_events() const {
-    return shard_ ? shard_->pending() : queue_.pending();
-  }
+  std::size_t pending_events() const { return queue_.pending(); }
 
   // Lifetime operation counters — the perf currency of the benches on
   // single-core CI (no wall-time assertions anywhere).
   std::uint64_t events_executed() const { return events_executed_; }
-  std::uint64_t events_scheduled() const {
-    return shard_ ? shard_->scheduled_total() : queue_.scheduled_total();
-  }
-  std::uint64_t events_cancelled() const {
-    return shard_ ? shard_->cancelled_total() : queue_.cancelled_total();
-  }
+  std::uint64_t events_scheduled() const { return queue_.scheduled_total(); }
+  std::uint64_t events_cancelled() const { return queue_.cancelled_total(); }
   /// High-water mark of pending_events() (see EventQueue::peak_pending).
-  std::size_t peak_pending_events() const {
-    return shard_ ? shard_->peak_pending() : queue_.peak_pending();
-  }
-  void relax_peak_pending() {
-    if (!shard_) queue_.relax_peak_pending();
-  }
-
-  /// Installs / removes the sharded backend. Must happen while idle
-  /// (before any scheduling, or after the backend has drained its
-  /// queues); the harness brackets a sharded run with these.
-  void install_shard_hooks(ShardHooks* hooks) {
-    assert(hooks == nullptr || queue_.empty());
-    shard_ = hooks;
-  }
-  ShardHooks* shard_hooks() const { return shard_; }
-
-  /// Scopes the node whose state subsequently scheduled events touch.
-  /// Inert single-shard; the sharded engine routes setup-time and
-  /// cross-node schedules to the owning shard's queue by reading
-  /// current_target_node() (see sim/sharded.h). Thread-local, so shard
-  /// workers can nest their own guards without racing.
-  class ScopedShardTarget {
-   public:
-    explicit ScopedShardTarget(std::int32_t node) : prev_(target_node_) {
-      target_node_ = node;
-    }
-    ~ScopedShardTarget() { target_node_ = prev_; }
-    ScopedShardTarget(const ScopedShardTarget&) = delete;
-    ScopedShardTarget& operator=(const ScopedShardTarget&) = delete;
-
-   private:
-    std::int32_t prev_;
-  };
-  static std::int32_t current_target_node() { return target_node_; }
+  std::size_t peak_pending_events() const { return queue_.peak_pending(); }
+  void relax_peak_pending() { queue_.relax_peak_pending(); }
 
  private:
-  inline static thread_local std::int32_t target_node_ = -1;
-
   EventQueue queue_;
-  ShardHooks* shard_ = nullptr;
   Time now_ = 0;
   Time cur_vtime_ = 0;
   std::uint64_t cur_seq_ = 0;

@@ -1,67 +1,19 @@
-// Small statistics helpers: scalar accumulators and time series.
+// Small statistics helpers: time series and rate meters.
 //
 // Ownership: plain value types; they copy their samples and have no link
 // back into the simulator. Units: TimeSeries/RateMeter timestamps are
 // integer nanoseconds (sim::Time), RateMeter rates are bits-per-second
-// (bps), byte counts are std::int64_t bytes. Summary samples are whatever
-// unit the caller adds (the harness uses milliseconds for FCTs).
+// (bps), byte counts are std::int64_t bytes.
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
-#include <limits>
+#include <cstdint>
 #include <vector>
 
 #include "sim/time.h"
 
 namespace pdq::sim {
-
-/// Accumulates samples and answers mean/min/max/percentile queries.
-/// Percentiles keep all samples; the experiments are small enough for that.
-class Summary {
- public:
-  void add(double x) { samples_.push_back(x); }
-
-  std::size_t count() const { return samples_.size(); }
-  bool empty() const { return samples_.empty(); }
-
-  double sum() const {
-    double s = 0;
-    for (double x : samples_) s += x;
-    return s;
-  }
-  double mean() const { return empty() ? 0.0 : sum() / count(); }
-  double min() const {
-    return empty() ? 0.0 : *std::min_element(samples_.begin(), samples_.end());
-  }
-  double max() const {
-    return empty() ? 0.0 : *std::max_element(samples_.begin(), samples_.end());
-  }
-
-  /// p in [0, 1]; nearest-rank on a sorted copy.
-  double percentile(double p) const {
-    if (empty()) return 0.0;
-    std::vector<double> s = samples_;
-    std::sort(s.begin(), s.end());
-    const auto idx = static_cast<std::size_t>(
-        std::clamp(p, 0.0, 1.0) * static_cast<double>(s.size() - 1) + 0.5);
-    return s[std::min(idx, s.size() - 1)];
-  }
-
-  double stddev() const {
-    if (count() < 2) return 0.0;
-    const double m = mean();
-    double acc = 0;
-    for (double x : samples_) acc += (x - m) * (x - m);
-    return std::sqrt(acc / static_cast<double>(count() - 1));
-  }
-
-  const std::vector<double>& samples() const { return samples_; }
-
- private:
-  std::vector<double> samples_;
-};
 
 /// (time, value) samples, e.g. queue length or link utilization over time.
 class TimeSeries {

@@ -1,11 +1,13 @@
 // Property/stress tests for the event queue: randomized
-// schedule/cancel/pop interleavings cross-checked against a naive
-// sorted-vector model, plus the determinism and pending()-exactness
-// guarantees the overhauled engine is pinned to.
+// schedule/as-if/reserve/cancel/pop interleavings cross-checked against
+// a naive linear-scan model, the tie-order contract event coalescing and
+// the PDQ dormant tick rely on, plus the determinism and
+// pending()-exactness guarantees the engine is pinned to.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -14,13 +16,22 @@
 namespace pdq::sim {
 namespace {
 
-/// The obviously correct reference: a sorted vector of (time, seq)
-/// records with eager cancellation.
+/// The obviously correct reference: an unsorted vector of
+/// (time, vtime, seq) records with eager cancellation, searched for the
+/// minimal key on every query.
 class NaiveQueue {
  public:
-  std::uint64_t schedule(Time at) {
-    entries_.push_back({at, next_seq_, false});
-    return next_seq_++;
+  /// Claims the next sequence number without scheduling anything.
+  std::uint64_t reserve() { return next_seq_++; }
+
+  std::uint64_t schedule(Time at, Time vtime) {
+    const std::uint64_t seq = reserve();
+    schedule_with_seq(at, vtime, seq);
+    return seq;
+  }
+
+  void schedule_with_seq(Time at, Time vtime, std::uint64_t seq) {
+    entries_.push_back({at, vtime, seq, false});
   }
 
   void cancel(std::uint64_t seq) {
@@ -40,29 +51,13 @@ class NaiveQueue {
   }
 
   Time next_time() const {
-    const Entry* best = nullptr;
-    for (const auto& e : entries_) {
-      if (e.cancelled) continue;
-      if (best == nullptr || e.at < best->at ||
-          (e.at == best->at && e.seq < best->seq)) {
-        best = &e;
-      }
-    }
-    return best == nullptr ? kTimeInfinity : best->at;
+    const std::size_t best = min_live();
+    return best == entries_.size() ? kTimeInfinity : entries_[best].at;
   }
 
-  /// Pops the (time, seq)-minimal live entry; returns its seq.
+  /// Pops the (time, vtime, seq)-minimal live entry; returns its seq.
   std::uint64_t pop() {
-    std::size_t best = entries_.size();
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      if (entries_[i].cancelled) continue;
-      if (best == entries_.size() ||
-          entries_[i].at < entries_[best].at ||
-          (entries_[i].at == entries_[best].at &&
-           entries_[i].seq < entries_[best].seq)) {
-        best = i;
-      }
-    }
+    const std::size_t best = min_live();
     const std::uint64_t seq = entries_[best].seq;
     entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(best));
     return seq;
@@ -71,9 +66,27 @@ class NaiveQueue {
  private:
   struct Entry {
     Time at;
+    Time vtime;
     std::uint64_t seq;
     bool cancelled;
   };
+
+  /// Index of the minimal live entry, or entries_.size() when none.
+  std::size_t min_live() const {
+    std::size_t best = entries_.size();
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      const Entry& e = entries_[i];
+      if (e.cancelled) continue;
+      if (best == entries_.size() ||
+          std::tie(e.at, e.vtime, e.seq) <
+              std::tie(entries_[best].at, entries_[best].vtime,
+                       entries_[best].seq)) {
+        best = i;
+      }
+    }
+    return best;
+  }
+
   std::vector<Entry> entries_;
   std::uint64_t next_seq_ = 0;
 };
@@ -83,25 +96,60 @@ TEST(EventQueueProperty, RandomInterleavingsMatchNaiveModel) {
     Rng rng(seed);
     EventQueue q;
     NaiveQueue model;
-    // Model seq -> (real id, popped marker). Popped order is recorded by
-    // having each event append its model seq when it runs.
+    // Scheduled events by model seq, parallel to their real ids. Each
+    // event appends its model seq to `ran` when it runs, so the popped
+    // order can be compared with the model's.
+    std::vector<std::uint64_t> seqs;
     std::vector<EventId> real_ids;
+    std::vector<std::uint64_t> reserved;  // claimed, not yet scheduled
     std::vector<std::uint64_t> ran;
     std::vector<std::uint64_t> model_ran;
 
+    // Times and vtimes sit on a coarse grid so that ties on `at`, and on
+    // (at, vtime), are common and the seq tie-break gets exercised.
+    const auto draw_at = [&rng] { return 10 * rng.uniform_int(0, 99); };
+    const auto draw_vtime = [&rng](Time at) {
+      return 10 * rng.uniform_int(0, at / 10);
+    };
+    const auto schedule_reserved = [&](std::size_t k) {
+      const std::uint64_t mseq = reserved[k];
+      reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(k));
+      const Time at = draw_at();
+      const Time vtime = draw_vtime(at);
+      model.schedule_with_seq(at, vtime, mseq);
+      seqs.push_back(mseq);
+      real_ids.push_back(q.schedule_with_seq(
+          at, vtime, mseq, [mseq, &ran] { ran.push_back(mseq); }));
+    };
+
     for (int step = 0; step < 4000; ++step) {
-      const auto op = rng.uniform_int(0, 9);
-      if (op <= 4 || q.empty()) {  // schedule (biased: queues must grow)
-        const Time at = rng.uniform_int(0, 100'000);
-        const std::uint64_t mseq = model.schedule(at);
-        EXPECT_EQ(mseq, real_ids.size());
+      const auto op = rng.uniform_int(0, 11);
+      if (op <= 2 || q.empty()) {  // schedule (biased: queues must grow)
+        const Time at = draw_at();
+        const std::uint64_t mseq = model.schedule(at, 0);
+        seqs.push_back(mseq);
         real_ids.push_back(
             q.schedule(at, [mseq, &ran] { ran.push_back(mseq); }));
-      } else if (op <= 6) {  // cancel a random id (live, run, or stale)
+      } else if (op <= 4) {  // schedule as if from an earlier instant
+        const Time at = draw_at();
+        const Time vtime = draw_vtime(at);
+        const std::uint64_t mseq = model.schedule(at, vtime);
+        seqs.push_back(mseq);
+        real_ids.push_back(q.schedule_as_if(
+            at, vtime, [mseq, &ran] { ran.push_back(mseq); }));
+      } else if (op == 5) {  // reserve a seq for a later schedule
+        const std::uint64_t mseq = model.reserve();
+        ASSERT_EQ(q.reserve_seq(), mseq);
+        reserved.push_back(mseq);
+      } else if (op == 6) {  // schedule with an earlier reservation
+        if (reserved.empty()) continue;
+        schedule_reserved(static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(reserved.size()) - 1)));
+      } else if (op <= 8) {  // cancel a random id (live, run, or stale)
         const auto victim = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(real_ids.size()) - 1));
+            rng.uniform_int(0, static_cast<std::int64_t>(seqs.size()) - 1));
         q.cancel(real_ids[victim]);
-        model.cancel(victim);
+        model.cancel(seqs[victim]);
       } else {  // pop
         model_ran.push_back(model.pop());
         auto ev = q.pop();
@@ -111,7 +159,9 @@ TEST(EventQueueProperty, RandomInterleavingsMatchNaiveModel) {
       ASSERT_EQ(q.empty(), model.pending() == 0);
       ASSERT_EQ(q.next_time(), model.next_time()) << "step " << step;
     }
-    // Drain: the two must pop the identical sequence.
+    // Spend the outstanding reservations, then drain: the two must pop
+    // the identical sequence.
+    while (!reserved.empty()) schedule_reserved(0);
     while (!q.empty()) {
       model_ran.push_back(model.pop());
       auto ev = q.pop();
@@ -119,6 +169,35 @@ TEST(EventQueueProperty, RandomInterleavingsMatchNaiveModel) {
     }
     EXPECT_EQ(ran, model_ran);
     EXPECT_EQ(model.pending(), 0u);
+  }
+}
+
+TEST(EventQueueProperty, DormantWakeGridReentryKeepsTieOrder) {
+  // The PDQ rate-controller shape (core/pdq_switch.cc): a grid tick goes
+  // dormant by reserving the seq its successor would have taken; other
+  // events are then scheduled for the next grid instant; a later wake
+  // re-enters the tick at that instant with the reserved seq and a vtime
+  // backdated to the previous grid point. The re-entered tick must run
+  // first: ahead of a same-vtime competitor holding a later seq, and of
+  // a competitor scheduled fresh at the firing instant.
+  EventQueue q;
+  std::vector<int> log;
+  const Time grid = 500 * kMicrosecond;
+  for (int period = 1; period <= 20; ++period) {
+    const Time prev = grid * (period - 1);
+    const Time at = grid * period;
+    const std::uint64_t tick_seq = q.reserve_seq();
+    q.schedule_as_if(at, prev,
+                     [&log, period] { log.push_back(period * 10 + 1); });
+    q.schedule_as_if(at, at,
+                     [&log, period] { log.push_back(period * 10 + 2); });
+    q.schedule_with_seq(at, prev, tick_seq,
+                        [&log, period] { log.push_back(period * 10); });
+    while (!q.empty()) q.pop().fn();
+    ASSERT_EQ(log.size(), static_cast<std::size_t>(3 * period));
+    EXPECT_EQ(log[log.size() - 3], period * 10);
+    EXPECT_EQ(log[log.size() - 2], period * 10 + 1);
+    EXPECT_EQ(log[log.size() - 1], period * 10 + 2);
   }
 }
 

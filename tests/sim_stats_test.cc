@@ -5,32 +5,6 @@
 namespace pdq::sim {
 namespace {
 
-TEST(Summary, BasicMoments) {
-  Summary s;
-  for (double v : {1.0, 2.0, 3.0, 4.0}) s.add(v);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-  EXPECT_NEAR(s.stddev(), 1.29099, 1e-4);
-}
-
-TEST(Summary, EmptyIsZero) {
-  Summary s;
-  EXPECT_TRUE(s.empty());
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.percentile(0.5), 0.0);
-}
-
-TEST(Summary, Percentiles) {
-  Summary s;
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_NEAR(s.percentile(0.0), 1, 1);
-  EXPECT_NEAR(s.percentile(0.5), 50, 1);
-  EXPECT_NEAR(s.percentile(0.99), 99, 1);
-  EXPECT_NEAR(s.percentile(1.0), 100, 0);
-}
-
 TEST(TimeSeries, TimeAverageOfStepFunction) {
   TimeSeries ts;
   ts.record(0, 10.0);
