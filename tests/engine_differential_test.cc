@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -82,30 +83,45 @@ harness::Scenario fig4_scenario(bool stride) {
 // Goldens: one row per (stack, scenario), full double precision
 // ---------------------------------------------------------------------------
 
+// gtest names each ctest case after the raw bytes of its parameter, so
+// Golden holds no pointer and no padding: a string pointer moves with ASLR
+// and padding is uninitialised, and either would rename the cases on every
+// run of the binary. The stack is an index into kStackNames instead.
+enum class Stack : std::int64_t {
+  kPdqFull, kPdqEsEt, kPdqEs, kPdqBasic, kD3, kRcp, kTcp, kMpdq
+};
+const char* const kStackNames[] = {
+    "PDQ(Full)", "PDQ(ES+ET)", "PDQ(ES)", "PDQ(Basic)",
+    "D3",        "RCP",        "TCP",     "M-PDQ"};
+
 struct Golden {
-  const char* stack;
+  Stack stack;
   double fig1_appthroughput;  // 1 trial, seed 1000
   double fig3d_fct;           // 2 trials, seeds 1000/1007
   double fig4_stride_fct;     // 1 trial, seed 1000
   double fig4_randperm_fct;   // 1 trial, seed 1000
+
+  const char* name() const {
+    return kStackNames[static_cast<std::size_t>(stack)];
+  }
 };
 
 const Golden kGoldens[] = {
-    {"PDQ(Full)", 66.666666666666671, 4.7667374000000002,
+    {Stack::kPdqFull, 66.666666666666671, 4.7667374000000002,
      1.5229879166666669, 4.0682009999999993},
-    {"PDQ(ES+ET)", 66.666666666666671, 4.7620338999999996,
+    {Stack::kPdqEsEt, 66.666666666666671, 4.7620338999999996,
      1.5229879166666669, 4.0682009999999993},
-    {"PDQ(ES)", 33.333333333333336, 4.7620338999999996,
+    {Stack::kPdqEs, 33.333333333333336, 4.7620338999999996,
      1.5229879166666669, 4.0682009999999993},
-    {"PDQ(Basic)", 33.333333333333336, 4.8113190000000001,
+    {Stack::kPdqBasic, 33.333333333333336, 4.8113190000000001,
      1.5627962083333331, 4.1095402499999993},
-    {"D3", 0.0, 6.5562221000000012, 1.725772375, 4.2982020833333339},
-    {"RCP", 0.0, 6.9478305000000002, 1.6383624583333336,
+    {Stack::kD3, 0.0, 6.5562221000000012, 1.725772375, 4.2982020833333339},
+    {Stack::kRcp, 0.0, 6.9478305000000002, 1.6383624583333336,
      4.1147056250000018},
-    {"TCP", 0.0, 6.1445348000000006, 1.8418726666666663,
+    {Stack::kTcp, 0.0, 6.1445348000000006, 1.8418726666666663,
      4.4917823333333331},
-    {"M-PDQ", 66.666666666666671, 6.7396867499999988, 1.7344980000000001,
-     4.5061201249999998},
+    {Stack::kMpdq, 66.666666666666671, 6.7396867499999988,
+     1.7344980000000001, 4.5061201249999998},
 };
 
 class EngineDifferential : public ::testing::TestWithParam<Golden> {
@@ -116,7 +132,7 @@ class EngineDifferential : public ::testing::TestWithParam<Golden> {
 TEST_P(EngineDifferential, Fig1ApplicationThroughputMatchesPreOverhaul) {
   const Golden& g = GetParam();
   EXPECT_DOUBLE_EQ(
-      runner_.average(fig1_scenario(), harness::stack_column(g.stack), 1,
+      runner_.average(fig1_scenario(), harness::stack_column(g.name()), 1,
                       1000,
                       harness::metrics::application_throughput().fn),
       g.fig1_appthroughput);
@@ -125,7 +141,7 @@ TEST_P(EngineDifferential, Fig1ApplicationThroughputMatchesPreOverhaul) {
 TEST_P(EngineDifferential, Fig3dMeanFctMatchesPreOverhaul) {
   const Golden& g = GetParam();
   EXPECT_DOUBLE_EQ(
-      runner_.average(fig3d_scenario(), harness::stack_column(g.stack), 2,
+      runner_.average(fig3d_scenario(), harness::stack_column(g.name()), 2,
                       1000, harness::metrics::mean_fct_ms().fn),
       g.fig3d_fct);
 }
@@ -133,7 +149,7 @@ TEST_P(EngineDifferential, Fig3dMeanFctMatchesPreOverhaul) {
 TEST_P(EngineDifferential, Fig4StrideMeanFctMatchesPreOverhaul) {
   const Golden& g = GetParam();
   EXPECT_DOUBLE_EQ(
-      runner_.average(fig4_scenario(true), harness::stack_column(g.stack),
+      runner_.average(fig4_scenario(true), harness::stack_column(g.name()),
                       1, 1000, harness::metrics::mean_fct_ms().fn),
       g.fig4_stride_fct);
 }
@@ -141,13 +157,13 @@ TEST_P(EngineDifferential, Fig4StrideMeanFctMatchesPreOverhaul) {
 TEST_P(EngineDifferential, Fig4RandPermMeanFctMatchesPreOverhaul) {
   const Golden& g = GetParam();
   EXPECT_DOUBLE_EQ(
-      runner_.average(fig4_scenario(false), harness::stack_column(g.stack),
+      runner_.average(fig4_scenario(false), harness::stack_column(g.name()),
                       1, 1000, harness::metrics::mean_fct_ms().fn),
       g.fig4_randperm_fct);
 }
 
 std::string golden_name(const ::testing::TestParamInfo<Golden>& info) {
-  std::string name = info.param.stack;
+  std::string name = info.param.name();
   for (char& c : name) {
     if (!(std::isalnum(static_cast<unsigned char>(c)))) c = '_';
   }

@@ -11,8 +11,11 @@
 namespace pdq {
 namespace {
 
+// Every field is 64-bit so the struct has no padding: gtest names each
+// ctest case after the parameter's raw bytes, and uninitialised padding
+// would rename the cases on every run of the binary.
 struct CaseParam {
-  int flows;
+  std::int64_t flows;
   std::int64_t size;
   std::uint64_t seed;
 };

@@ -95,10 +95,13 @@ TEST_P(BCubeSweep, DisjointPathCountMatchesNicCount) {
   EXPECT_EQ(paths.size(), static_cast<std::size_t>(k + 1));
 }
 
+// net_ports is 64-bit so the struct has no padding: gtest names each
+// ctest case after the parameter's raw bytes, and uninitialised padding
+// would rename the cases on every run of the binary.
 struct JellyParam {
   int switches;
   int ports;
-  int net_ports;
+  std::int64_t net_ports;
   std::uint64_t seed;
 };
 
