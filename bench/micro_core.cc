@@ -1,12 +1,14 @@
 // Microbenchmarks (google-benchmark) for the simulator hot paths: event
 // queue throughput, packet pool recycling, PDQ switch packet processing,
-// and path computation.
+// the paced sender's send/ack path, and path computation.
 #include <benchmark/benchmark.h>
 
 #include <functional>
+#include <memory>
 
 #include "core/pdq_switch.h"
 #include "net/builders.h"
+#include "net/paced_sender.h"
 #include "net/packet_pool.h"
 #include "net/topology.h"
 #include "sim/event_queue.h"
@@ -78,6 +80,72 @@ void BM_PdqSwitchForward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PdqSwitchForward)->Arg(2)->Arg(8)->Arg(32);
+
+/// Paces at a fixed rate once the SYN-ACK arrives; no protocol headers.
+class FixedRateSender : public net::PacedSender {
+ public:
+  FixedRateSender(net::AgentContext ctx, double bps)
+      : PacedSender(std::move(ctx)), bps_(bps) {}
+
+ protected:
+  void decorate(net::Packet&) override {}
+  void on_reverse(const net::PacketPtr&) override { set_rate(bps_); }
+
+ private:
+  double bps_;
+};
+
+/// One sender -> switch -> receiver flow, run to completion.
+struct PacedFlow {
+  sim::Simulator simulator;
+  net::Topology topo{simulator};
+  std::unique_ptr<FixedRateSender> sender;
+  std::unique_ptr<net::EchoReceiver> receiver;
+
+  explicit PacedFlow(std::int64_t size) {
+    const auto servers = net::build_single_bottleneck(topo, 1);
+    net::FlowSpec f;
+    f.id = 1;
+    f.src = servers[0];
+    f.dst = servers[1];
+    f.size_bytes = size;
+    net::AgentContext rctx;
+    rctx.topo = &topo;
+    rctx.local = &topo.host(f.dst);
+    rctx.spec = f;
+    receiver = std::make_unique<net::EchoReceiver>(std::move(rctx));
+    topo.host(f.dst).attach_receiver(f.id, receiver.get());
+    net::AgentContext sctx;
+    sctx.topo = &topo;
+    sctx.local = &topo.host(f.src);
+    sctx.spec = f;
+    sctx.route = topo.ecmp_route(f.id, f.src, f.dst);
+    sender = std::make_unique<FixedRateSender>(std::move(sctx), 1e9);
+    topo.host(f.src).attach_sender(f.id, sender.get());
+  }
+};
+
+// Whole-flow cost of the paced sender's send and ack path; items are
+// data packets, so items/s shows how per-packet cost scales with flow
+// size. Building and tearing down the fabric is not timed.
+void BM_PacedSenderFlow(benchmark::State& state) {
+  const std::int64_t size = state.range(0);
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto flow = std::make_unique<PacedFlow>(size);
+    state.ResumeTiming();
+    flow->simulator.schedule_at(0, [&] { flow->sender->start(); });
+    flow->simulator.run();
+    benchmark::DoNotOptimize(flow->sender->result().bytes_acked);
+    state.PauseTiming();
+    flow.reset();
+    state.ResumeTiming();
+  }
+  const std::int64_t packets =
+      (size + net::kMaxPayloadBytes - 1) / net::kMaxPayloadBytes;
+  state.SetItemsProcessed(state.iterations() * packets);
+}
+BENCHMARK(BM_PacedSenderFlow)->Arg(64 << 10)->Arg(4 << 20)->Arg(64 << 20);
 
 void BM_PacketPoolAcquireRelease(benchmark::State& state) {
   net::PacketPool pool;

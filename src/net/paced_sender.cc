@@ -162,12 +162,9 @@ int PacedSender::pick_packet_to_send() {
   // Prefer the lowest-index expired unacked packet; otherwise the next
   // never-sent packet.
   const sim::Time deadline = now() - rto();
-  for (std::int64_t i = 0; i < next_new_; ++i) {
+  for (std::int64_t i = cum_ack_; i < next_new_; ++i) {
     const auto idx = static_cast<std::size_t>(i);
-    if (!acked_[idx] && sent_at_[idx] != sim::kTimeInfinity &&
-        sent_at_[idx] <= deadline) {
-      return static_cast<int>(i);
-    }
+    if (!acked_[idx] && sent_at_[idx] <= deadline) return static_cast<int>(i);
   }
   if (next_new_ < num_packets_) return static_cast<int>(next_new_++);
   return -1;
@@ -178,8 +175,6 @@ void PacedSender::pace_next() {
   const int idx = pick_packet_to_send();
   if (idx >= 0) {
     send_data_packet(static_cast<std::size_t>(idx));
-    const auto& sent = sent_at_[static_cast<std::size_t>(idx)];
-    (void)sent;
     // Pace the next transmission one serialization time later.
     const std::int32_t on_wire =
         payload_[static_cast<std::size_t>(idx)] + kHeaderBytes;
@@ -193,9 +188,10 @@ void PacedSender::pace_next() {
   }
   // Everything is in flight: wake up at the earliest possible expiry.
   sim::Time earliest = sim::kTimeInfinity;
-  for (std::size_t i = 0; i < acked_.size(); ++i) {
-    if (!acked_[i] && sent_at_[i] != sim::kTimeInfinity)
-      earliest = std::min(earliest, sent_at_[i] + rto());
+  const sim::Time timeout = rto();
+  for (std::int64_t i = cum_ack_; i < next_new_; ++i) {
+    const auto idx = static_cast<std::size_t>(i);
+    if (!acked_[idx]) earliest = std::min(earliest, sent_at_[idx] + timeout);
   }
   if (earliest == sim::kTimeInfinity) return;  // all acked; complete() imminent
   pace_pending_ = true;
@@ -240,10 +236,14 @@ void PacedSender::record_ack(const Packet& p) {
   acked_[idx] = true;
   ++acked_count_;
   result_.bytes_acked += payload_[idx];
+  while (cum_ack_ < num_packets_ &&
+         acked_[static_cast<std::size_t>(cum_ack_)]) {
+    ++cum_ack_;
+  }
   // Fast retransmit: an unacked packet overtaken by three later acks is
   // considered lost (forced to expiry so the pacer resends it next).
   bool forced = false;
-  for (std::size_t j = 0; j < idx; ++j) {
+  for (auto j = static_cast<std::size_t>(cum_ack_); j < idx; ++j) {
     if (acked_[j] || sent_at_[j] == sim::kTimeInfinity) continue;
     if (acks_after_[j] < kDupAckThreshold) {
       if (++acks_after_[j] == kDupAckThreshold) {
@@ -295,6 +295,7 @@ std::int64_t PacedSender::shrink_tail(std::int64_t bytes) {
     --num_packets_;
   }
   if (removed == 0) return 0;
+  cum_ack_ = std::min(cum_ack_, num_packets_);
   last_payload_ = payload_.empty() ? 0 : payload_.back();
   ctx_.spec.size_bytes -= removed;
   result_.spec.size_bytes = ctx_.spec.size_bytes;

@@ -141,7 +141,10 @@ class PacedSender : public Agent {
   std::vector<bool> acked_;
   std::vector<sim::Time> sent_at_;     // kTimeInfinity = never sent
   std::vector<std::int8_t> acks_after_;  // higher-seq acks since send
-  std::int64_t next_new_ = 0;
+  std::int64_t next_new_ = 0;  // every index below it has been sent
+  /// Cumulative-ack cursor: every index below it is acked, so the
+  /// per-packet scans run over [cum_ack_, next_new_) only.
+  std::int64_t cum_ack_ = 0;
   std::int64_t acked_count_ = 0;
 
   double rate_bps_ = 0.0;
@@ -149,8 +152,9 @@ class PacedSender : public Agent {
   sim::Time rtt_;
   bool rtt_valid_ = false;
   bool started_ = false;
-  sim::EventId pace_event_ = 0;
+  // Packed beside started_ so cum_ack_ fits in the freed padding.
   bool pace_pending_ = false;
+  sim::EventId pace_event_ = 0;
   /// One timer slot for both retry loops: SYN retry runs only before
   /// the first feedback, the loss-hardened TERM retransmit only after
   /// completion, so the phases never overlap. Sharing the slot (and

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "net/builders.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
@@ -20,9 +22,15 @@ class FixedRateSender : public PacedSender {
   using PacedSender::shrink_tail;
   using PacedSender::unsent_tail_bytes;
 
+  /// Runs after every reverse packet's ack bookkeeping and rate update.
+  std::function<void()> after_reverse;
+
  protected:
   void decorate(Packet&) override {}
-  void on_reverse(const PacketPtr&) override { set_rate(bps_); }
+  void on_reverse(const PacketPtr&) override {
+    set_rate(bps_);
+    if (after_reverse) after_reverse();
+  }
 
  private:
   double bps_;
@@ -121,6 +129,24 @@ TEST(PacedSender, RecoversFromHeavyLoss) {
   EXPECT_GT(rig.done_result.retransmissions, 0);
 }
 
+TEST(PacedSender, LossRecoveryScheduleIsPinned) {
+  // 343 packets over a 5%-lossy data link. This loss pattern takes all
+  // three recovery paths: fast retransmit once three later acks overtake
+  // a hole, a plain RTO expiry where too few later acks follow a loss,
+  // and the wake-up at the earliest expiry while every packet is in
+  // flight. Of the 62 retransmissions, 61 are fast and one is an RTO.
+  // The counts and finish time pin the exact schedule.
+  Rig rig(500'000, 1e9, /*drop=*/0.05);
+  rig.run(20 * sim::kSecond);
+  ASSERT_TRUE(rig.done);
+  EXPECT_EQ(rig.done_result.outcome, FlowOutcome::kCompleted);
+  EXPECT_EQ(rig.done_result.bytes_acked, 500'000);
+  // SYN + 343 data + 62 retransmissions + TERM.
+  EXPECT_EQ(rig.done_result.packets_sent, 407);
+  EXPECT_EQ(rig.done_result.retransmissions, 62);
+  EXPECT_EQ(rig.done_result.finish_time, 7'001'760);
+}
+
 TEST(PacedSender, RttEstimateTracksPath) {
   Rig rig(200'000);
   rig.run();
@@ -159,6 +185,63 @@ TEST(PacedSender, ShrinkEverythingUnsentBeforeStartLeavesMinimum) {
   const auto removed = rig.sender->shrink_tail(1 << 30);
   EXPECT_EQ(removed, 10'000);
   EXPECT_EQ(rig.sender->unsent_tail_bytes(), 0);
+}
+
+/// Once the first `acked` bytes are acknowledged and nothing sent is
+/// still outstanding (so the cumulative ack has moved past the start of
+/// the flow), runs `fn` once.
+void at_acked_prefix(Rig& rig, std::int64_t size, std::int64_t acked,
+                     std::function<void()> fn) {
+  rig.sender->after_reverse = [&rig, size, acked, fn = std::move(fn),
+                               fired = false]() mutable {
+    const std::int64_t got = rig.sender->result().bytes_acked;
+    if (fired || got < acked ||
+        got + rig.sender->unsent_tail_bytes() != size) {
+      return;
+    }
+    fired = true;
+    fn();
+  };
+}
+
+TEST(PacedSender, ShrinkThenExtendMidFlight) {
+  // Paced at 100 Mbps the ack of each packet returns before the next one
+  // leaves, so every sent packet is acked when the hook fires.
+  Rig rig(100'000, 100e6);
+  std::int64_t removed = 0;
+  at_acked_prefix(rig, 100'000, 30'000, [&] {
+    removed = rig.sender->shrink_tail(40'000);
+    EXPECT_TRUE(rig.sender->extend_tail(10'000));
+  });
+  rig.run();
+  ASSERT_TRUE(rig.done);
+  EXPECT_GE(removed, 40'000);
+  EXPECT_LT(removed, 40'000 + kMaxPayloadBytes);
+  const std::int64_t size = 100'000 - removed + 10'000;
+  EXPECT_EQ(rig.done_result.outcome, FlowOutcome::kCompleted);
+  EXPECT_EQ(rig.done_result.spec.size_bytes, size);
+  EXPECT_EQ(rig.done_result.bytes_acked, size);
+  EXPECT_EQ(rig.receiver->bytes_received(), size);
+}
+
+TEST(PacedSender, ShrinkToAckedPrefixCompletesAtOnce) {
+  Rig rig(100'000, 100e6);
+  std::int64_t acked_at_shrink = 0;
+  at_acked_prefix(rig, 100'000, 30'000, [&] {
+    acked_at_shrink = rig.sender->result().bytes_acked;
+    const std::int64_t unsent = rig.sender->unsent_tail_bytes();
+    EXPECT_EQ(rig.sender->shrink_tail(unsent), unsent);
+    // Every remaining packet is acked: the shrink itself completes it.
+    EXPECT_TRUE(rig.done);
+    EXPECT_FALSE(rig.sender->extend_tail(1'000));
+  });
+  rig.run();
+  ASSERT_TRUE(rig.done);
+  EXPECT_GE(acked_at_shrink, 30'000);
+  EXPECT_EQ(rig.done_result.outcome, FlowOutcome::kCompleted);
+  EXPECT_EQ(rig.done_result.spec.size_bytes, acked_at_shrink);
+  EXPECT_EQ(rig.done_result.bytes_acked, acked_at_shrink);
+  EXPECT_EQ(rig.receiver->bytes_received(), acked_at_shrink);
 }
 
 TEST(PacedSender, ExtendAfterCompleteFails) {
