@@ -19,10 +19,10 @@
 // streaming-mode scale point — web-search sizes scaled 1:100 arriving
 // open-loop on a k=8 fat-tree, run with ExperimentSpec::streaming_metrics
 // so completed flows retire and per-flow memory stays bounded by the
-// *active* flow population. Streaming runs chain flow-creation events
-// through reserved sequence numbers (scenario.cc), so peak_pending is
-// O(active) too; it joins peak_flow_bytes and pool_highwater as gated
-// CI artifacts.
+// *active* flow population. Every run chains its flows' start (or,
+// streaming, creation) events through reserved sequence numbers
+// (scenario.cc), so peak_pending is O(active) too; it joins
+// peak_flow_bytes and pool_highwater as gated CI artifacts.
 // Table 4 (fig13_scale_hybrid, --full or --scale): the hybrid
 // packet/fluid backend (RunOptions::hybrid) — elephants cross the fluid
 // middle at their equilibrium rates while mice and every scheduling

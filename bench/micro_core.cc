@@ -32,6 +32,27 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleAndPop);
 
+/// Hold model: keep state.range(0) events pending; one item is one pop
+/// plus one push. Push times land on a 100 ns grid a random distance
+/// past the popped event, so same-instant ties occur as in a run.
+void BM_EventQueueHold(benchmark::State& state) {
+  const auto pending = state.range(0);
+  sim::EventQueue q;
+  std::uint64_t x = 9;
+  const auto next_delay = [&x] {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<sim::Time>((x >> 33) % 1000) * 100;
+  };
+  for (std::int64_t i = 0; i < pending; ++i) q.schedule(next_delay(), [] {});
+  for (auto _ : state) {
+    const auto ev = q.pop();
+    benchmark::DoNotOptimize(
+        q.schedule_as_if(ev.at + next_delay(), ev.at, [] {}));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueHold)->Arg(300)->Arg(2000)->Arg(12000);
+
 void BM_SimulatorEventCascade(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator s;

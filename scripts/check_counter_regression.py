@@ -35,9 +35,9 @@ import sys
 # determinism — and it is the headline number for the hybrid backend's
 # fast-forward win). Ratio-style columns whose denominator moves with
 # behaviour (recycle%, scan/pkt) stay report-only to keep the gate
-# signal crisp. peak_pending is gated too: streaming-mode runs chain
-# creation events through reserved sequence numbers, so it tracks the
-# *active* population, not total flows.
+# signal crisp. peak_pending is gated too: every run chains its flows'
+# start (streaming: creation) events through reserved sequence numbers,
+# so it tracks the *active* population, not total flows.
 GATED = ("events", "ev/flow", "pkt_allocs", "peak_flow_bytes",
          "pool_highwater", "peak_pending")
 

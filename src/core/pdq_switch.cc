@@ -32,10 +32,10 @@ sim::Time PdqLinkController::now() const {
 
 int PdqLinkController::find(net::FlowId f) const {
   ++scan_ops_;
-  auto it = index_.find(f);
-  if (it == index_.end()) return -1;
-  assert(list_[it->second].flow == f);
-  return static_cast<int>(it->second);
+  const std::uint32_t* i = index_.find(f);
+  if (i == nullptr) return -1;
+  assert(list_[*i].flow == f);
+  return static_cast<int>(*i);
 }
 
 void PdqLinkController::retire(const FlowEntry& e) {

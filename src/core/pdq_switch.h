@@ -13,7 +13,8 @@
 // transient inconsistency (e.g. lost pause messages).
 //
 // Per-packet cost is O(1) amortized (the paper's S3.3/S4.2 design point):
-//  - a FlowId -> index hash map replaces the linear list scan;
+//  - a flat FlowId -> index hash map (net/id_map.h) replaces the linear
+//    list scan;
 //  - Algorithm 2 prefix walks (available bandwidth, Early Start budget,
 //    committed-rate sums, paused-ahead counts) are served from a
 //    dirty-tracked cached prefix array that resumes the exact original
@@ -26,12 +27,12 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "core/criticality.h"
 #include "core/pdq_config.h"
+#include "net/id_map.h"
 #include "net/link_controller.h"
 #include "net/node.h"
 
@@ -141,7 +142,7 @@ class PdqLinkController : public net::LinkController {
   net::NodeId self_ = net::kInvalidNode;  // cached my_id()
 
   /// FlowId -> index into list_, kept exact across insert/evict/resort.
-  std::unordered_map<net::FlowId, std::uint32_t> index_;
+  net::IdMap<net::FlowId, std::uint32_t> index_;
   /// Incremental aggregates (exact integer bookkeeping).
   int num_sending_ = 0;
   sim::Time rtt_sum_ = 0;

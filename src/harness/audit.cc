@@ -26,10 +26,8 @@ void scan_ghost_grants(net::Topology& topo, sim::Time now, sim::Time grace,
   // does not describe).
   std::unordered_set<net::FlowId> owned;
   for (net::NodeId h : topo.host_ids()) {
-    for (const auto& [id, agent] : topo.host(h).attached_senders()) {
-      (void)agent;
-      owned.insert(id);
-    }
+    topo.host(h).attached_senders().for_each(
+        [&owned](net::FlowId id, net::Agent*) { owned.insert(id); });
   }
   std::vector<net::GrantInfo> grants;
   for (net::NodeId id = 0; id < static_cast<net::NodeId>(topo.num_nodes());

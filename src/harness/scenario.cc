@@ -279,11 +279,12 @@ RunResult run_prepared(ProtocolStack& stack, sim::Simulator& simulator,
   std::function<void(std::size_t, const net::FlowResult&)> hybrid_segment_done;
 
   // Builds and attaches the agent pair for flow slot `idx`. The default
-  // path calls this synchronously from add_flow — construction order,
-  // route-cache fills and the event sequence all identical to the
-  // historical code; streaming mode calls it from the flow's start
-  // event. Hybrid flows materialize with their current packet-segment
-  // size (head or tail) in place of the full flow size.
+  // path calls this at set-up, in add order (and from add_flow for
+  // timeline injections) — construction order, route-cache fills and
+  // the event sequence all identical to the historical code; streaming
+  // mode calls it from the flow's start event. Hybrid flows materialize
+  // with their current packet-segment size (head or tail) in place of
+  // the full flow size.
   std::function<void(std::size_t)> materialize = [&](std::size_t idx) {
     net::FlowSpec f = sender_specs[idx];
     if (hybrid && phase[idx] != HybridPhase::kNone) {
@@ -475,7 +476,7 @@ RunResult run_prepared(ProtocolStack& stack, sim::Simulator& simulator,
   };
 
   // Appends the bookkeeping slot for one flow; scheduling is separate
-  // so the initial flow set can chain its creation events.
+  // so the initial flow set can chain its start events.
   const auto add_slot = [&](const net::FlowSpec& f) {
     assert(f.id != net::kInvalidFlow && f.src != f.dst);
     ++remaining;
@@ -508,47 +509,47 @@ RunResult run_prepared(ProtocolStack& stack, sim::Simulator& simulator,
     }
   };
 
-  // Initial flow set. The default path materializes everything here, as
-  // ever. Streaming mode *chains* the creation events — each one
-  // schedules its successor — so the event queue holds O(active flows),
-  // not one pre-scheduled creation per flow (the old peak_pending =
-  // O(total flows)). Every creation takes a sequence number reserved in
-  // add order and is scheduled with vtime 0, the exact (at, vtime, seq)
-  // key the historical pre-scheduled event had, so tie-break order — and
-  // therefore every downstream event — is unchanged.
+  // Initial flow set: every flow's start (default path) or creation
+  // (streaming) event is *chained* — each one schedules its successor —
+  // so the event queue holds the in-flight events, not one pending start
+  // per flow (peak_pending would be O(total flows)). Each flow reserves
+  // the sequence number its own schedule_at would have drawn, at the same
+  // point in the stream: the default path still builds its agents up
+  // front in add order, and a constructor that schedules or reserves
+  // draws before its flow's reservation, as ever. Chained events carry
+  // the vtime schedule_at would have stamped (the set-up clock), so every
+  // (at, vtime, seq) key, and therefore every downstream event, is
+  // unchanged.
+  const sim::Time setup_now = simulator.now();
   std::vector<std::size_t> chain_order;   // slot indices, by (start, add)
   std::vector<std::uint64_t> chain_seqs;  // parallel to slots
-  std::function<void(std::size_t)> chain_next;
-  if (streaming) {
-    for (const auto& f : flows) {
-      add_slot(f);
-      chain_seqs.push_back(simulator.reserve_event_order());
+  for (const auto& f : flows) {
+    const std::size_t idx = add_slot(f);
+    if (!streaming) materialize(idx);
+    chain_seqs.push_back(simulator.reserve_event_order());
+  }
+  chain_order.resize(flows.size());
+  std::iota(chain_order.begin(), chain_order.end(), std::size_t{0});
+  std::stable_sort(chain_order.begin(), chain_order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return flows[a].start_time < flows[b].start_time;
+                   });
+  std::function<void(std::size_t)> chain_next = [&](std::size_t k) {
+    const std::size_t idx = chain_order[k];
+    if (k + 1 < chain_order.size()) {
+      const std::size_t nxt = chain_order[k + 1];
+      simulator.schedule_at_reserved(sender_specs[nxt].start_time,
+                                     setup_now, chain_seqs[nxt],
+                                     [&chain_next, k] { chain_next(k + 1); });
     }
-    chain_order.resize(flows.size());
-    std::iota(chain_order.begin(), chain_order.end(), std::size_t{0});
-    std::stable_sort(chain_order.begin(), chain_order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return flows[a].start_time < flows[b].start_time;
-                     });
-    chain_next = [&](std::size_t k) {
-      const std::size_t idx = chain_order[k];
-      if (k + 1 < chain_order.size()) {
-        const std::size_t nxt = chain_order[k + 1];
-        simulator.schedule_at_reserved(
-            sender_specs[nxt].start_time, /*vtime=*/0, chain_seqs[nxt],
-            [&chain_next, k] { chain_next(k + 1); });
-      }
-      materialize(idx);
-      if (senders[idx] != nullptr) senders[idx]->start();
-    };
-    if (!chain_order.empty()) {
-      const std::size_t first = chain_order[0];
-      simulator.schedule_at_reserved(sender_specs[first].start_time,
-                                     /*vtime=*/0, chain_seqs[first],
-                                     [&chain_next] { chain_next(0); });
-    }
-  } else {
-    for (const auto& f : flows) add_flow(f);
+    if (streaming) materialize(idx);
+    if (senders[idx] != nullptr) senders[idx]->start();
+  };
+  if (!chain_order.empty()) {
+    const std::size_t first = chain_order[0];
+    simulator.schedule_at_reserved(sender_specs[first].start_time, setup_now,
+                                   chain_seqs[first],
+                                   [&chain_next] { chain_next(0); });
   }
 
   // Optional per-flow goodput sampler (Fig 6/7 time-series plots). The

@@ -23,8 +23,8 @@ Port& Node::add_port(SimplexLink& out, std::int64_t buffer_bytes) {
 }
 
 Port* Node::port_to(NodeId neighbor) {
-  auto it = port_by_neighbor_.find(neighbor);
-  return it == port_by_neighbor_.end() ? nullptr : it->second;
+  Port** port = port_by_neighbor_.find(neighbor);
+  return port == nullptr ? nullptr : *port;
 }
 
 void Node::receive(PacketPtr p, SimplexLink* in) {
@@ -271,9 +271,8 @@ void Host::deliver_local(PacketPtr p) {
   // Reverse packets belong to the local sender agent, forward packets to
   // the local receiver agent. Packets for unknown flows (e.g. a retransmit
   // arriving after completion) are dropped silently.
-  const auto& table = is_reverse(p->type) ? senders_ : receivers_;
-  auto it = table.find(p->flow);
-  if (it != table.end()) it->second->on_packet(p);
+  auto& table = is_reverse(p->type) ? senders_ : receivers_;
+  if (Agent** agent = table.find(p->flow)) (*agent)->on_packet(p);
 }
 
 }  // namespace pdq::net

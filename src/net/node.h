@@ -6,9 +6,9 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "net/id_map.h"
 #include "net/link.h"
 #include "net/link_controller.h"
 #include "net/multi_queue.h"
@@ -137,7 +137,7 @@ class Node {
   NodeId id_;
   sim::Time processing_delay_;
   std::vector<std::unique_ptr<Port>> ports_;
-  std::unordered_map<NodeId, Port*> port_by_neighbor_;
+  IdMap<NodeId, Port*> port_by_neighbor_;
 };
 
 class Switch : public Node {
@@ -197,9 +197,10 @@ class Agent {
   /// that cannot prove it (TCP/DCTCP receivers, M-PDQ) live to run end.
   virtual bool retirable() const { return false; }
   /// Cancels any events still scheduled against `this` so destruction
-  /// mid-run is safe. Must only cancel events it knows are pending
-  /// (guarded by per-event flags): a default-initialized EventId is
-  /// (gen 0, slot 0) — a live id in every fresh simulator.
+  /// mid-run is safe. Implementations guard each cancel with a per-event
+  /// pending flag, so the agent's own state says which events are live.
+  /// Cancelling an id whose event already ran, or a default EventId{},
+  /// is a no-op (generations start at 1; see event_queue.h).
   virtual void quiesce() {}
   /// Approximate heap footprint: sizeof the dynamic type plus owned
   /// container capacities. Used for the peak_flow_bytes counter — an
@@ -222,16 +223,15 @@ class Host : public Node {
   /// Attached sender agents by flow id — the invariant auditor's ground
   /// truth for "a live sender owns this flow" (M-PDQ subflow ids and
   /// hybrid tail-segment ids included, unlike the harness's slot table).
-  const std::unordered_map<FlowId, Agent*>& attached_senders() const {
-    return senders_;
-  }
+  /// Iteration order is unspecified.
+  const IdMap<FlowId, Agent*>& attached_senders() const { return senders_; }
 
  protected:
   void deliver_local(PacketPtr p) override;
 
  private:
-  std::unordered_map<FlowId, Agent*> senders_;
-  std::unordered_map<FlowId, Agent*> receivers_;
+  IdMap<FlowId, Agent*> senders_;
+  IdMap<FlowId, Agent*> receivers_;
 };
 
 }  // namespace pdq::net

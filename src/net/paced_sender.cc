@@ -59,8 +59,9 @@ void PacedSender::syn_retry() {
 }
 
 void PacedSender::quiesce() {
-  // Cancel only events known pending: a default EventId is (gen 0,
-  // slot 0), a live id in any fresh simulator.
+  // Cancel only events known pending; the flags are the record of what
+  // is live (retry_event_ serves both the SYN and the TERM retry). A
+  // stale or default EventId would be a no-op in the queue.
   if (syn_pending_) {
     sim().cancel(retry_event_);
     syn_pending_ = false;

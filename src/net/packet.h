@@ -197,7 +197,11 @@ class PacketPtr {
     return *this;
   }
 
-  ~PacketPtr() { release(); }
+  // Most handles die moved-from (every hop moves the packet on), so
+  // the null test stays inline and only a live handle pays the call.
+  ~PacketPtr() {
+    if (p_ != nullptr) release();
+  }
 
   Packet* get() const { return p_; }
   Packet* operator->() const { return p_; }
@@ -222,6 +226,7 @@ class PacketPtr {
   /// Adopts one reference (pool hand-out path).
   explicit PacketPtr(Packet* adopted) : p_(adopted) {}
 
+  /// Drops the held reference. Precondition: p_ != nullptr.
   void release();
 
   Packet* p_ = nullptr;

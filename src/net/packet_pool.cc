@@ -26,7 +26,6 @@ PacketPool::ScopedPool::~ScopedPool() { t_current_pool = previous_; }
 PacketPtr make_packet() { return PacketPool::local().acquire(); }
 
 void PacketPtr::release() {
-  if (p_ == nullptr) return;
   if (--p_->hook_.refs == 0) {
     if (p_->hook_.origin != nullptr) {
       p_->hook_.origin->recycle(p_);

@@ -9,9 +9,10 @@
 // nothing.
 //
 // Ownership: the wrapper owns the callable; moving the wrapper relocates
-// (inline case) or re-points (heap case) it. Invoking a moved-from or
-// empty wrapper is undefined, exactly like std::function minus the
-// bad_function_call ceremony the simulator never wants.
+// (inline case) or re-points (heap case) it through an indirect call.
+// emplace() builds a callable in place and so skips that call. Invoking
+// a moved-from or empty wrapper is undefined, exactly like std::function
+// minus the bad_function_call ceremony the simulator never wants.
 #pragma once
 
 #include <cstddef>
@@ -37,13 +38,19 @@ class InlineFunction {
                 !std::is_same_v<D, InlineFunction> &&
                 std::is_invocable_r_v<void, D&>>>
   InlineFunction(F&& f) {  // NOLINT(google-explicit-constructor)
-    if constexpr (fits_inline<D>()) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      ops_ = &kInlineOps<D>;
-    } else {
-      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
-      ops_ = &kHeapOps<D>;
-    }
+    construct<D>(std::forward<F>(f));
+  }
+
+  /// Replaces the held callable with `f`, constructed directly in this
+  /// wrapper's storage: no temporary wrapper and no relocate. The event
+  /// queue builds each event's callable in its slot this way.
+  template <typename F, typename D = std::decay_t<F>,
+            typename = std::enable_if_t<
+                !std::is_same_v<D, InlineFunction> &&
+                std::is_invocable_r_v<void, D&>>>
+  void emplace(F&& f) {
+    reset();
+    construct<D>(std::forward<F>(f));
   }
 
   InlineFunction(InlineFunction&& o) noexcept {
@@ -91,6 +98,17 @@ class InlineFunction {
   }
 
  private:
+  template <typename D, typename F>
+  void construct(F&& f) {
+    if constexpr (fits_inline<D>()) {
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+      ops_ = &kInlineOps<D>;
+    } else {
+      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
+      ops_ = &kHeapOps<D>;
+    }
+  }
+
   struct Ops {
     void (*invoke)(void* storage);
     /// Move-constructs into `dst` from `src`, then destroys `src`.

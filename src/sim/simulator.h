@@ -2,7 +2,8 @@
 //
 // Ownership: one Simulator per experiment; every other component holds a
 // non-owning Simulator& and must not outlive it. Scheduled callbacks are
-// moved into the queue and destroyed after they run (or are cancelled).
+// built in their queue slot and destroyed after they run (or are
+// cancelled).
 // Units: all times are integer nanoseconds (sim::Time); `delay` is relative
 // to now(), `at` is absolute simulation time.
 #pragma once
@@ -21,24 +22,27 @@ class Simulator {
   Time now() const { return now_; }
 
   /// Schedules `fn` at `delay` nanoseconds from now (delay >= 0).
-  EventId schedule_in(Time delay, EventFn fn) {
+  template <typename F>
+  EventId schedule_in(Time delay, F&& fn) {
     assert(delay >= 0);
-    return queue_.schedule_as_if(now_ + delay, now_, std::move(fn));
+    return queue_.schedule_as_if(now_ + delay, now_, std::forward<F>(fn));
   }
 
   /// Schedules `fn` at absolute time `at` (>= now).
-  EventId schedule_at(Time at, EventFn fn) {
+  template <typename F>
+  EventId schedule_at(Time at, F&& fn) {
     assert(at >= now_);
-    return queue_.schedule_as_if(at, now_, std::move(fn));
+    return queue_.schedule_as_if(at, now_, std::forward<F>(fn));
   }
 
   /// Schedules `fn` at `at`, ordered among same-instant events as if it
   /// had been scheduled at time `vtime` (<= at; may lie in the past).
   /// Used by event coalescing to preserve the tie order of the event
   /// chain it elides (see event_queue.h).
-  EventId schedule_at_as_if(Time at, Time vtime, EventFn fn) {
+  template <typename F>
+  EventId schedule_at_as_if(Time at, Time vtime, F&& fn) {
     assert(at >= now_);
-    return queue_.schedule_as_if(at, vtime, std::move(fn));
+    return queue_.schedule_as_if(at, vtime, std::forward<F>(fn));
   }
 
   /// Claims the next event sequence number (see EventQueue::reserve_seq).
@@ -52,10 +56,11 @@ class Simulator {
 
   /// schedule_at_as_if() with a reserved sequence number: the event takes
   /// the exact tie-break position of the chain event reserved for.
+  template <typename F>
   EventId schedule_at_reserved(Time at, Time vtime, std::uint64_t seq,
-                               EventFn fn) {
+                               F&& fn) {
     assert(at >= now_);
-    return queue_.schedule_with_seq(at, vtime, seq, std::move(fn));
+    return queue_.schedule_with_seq(at, vtime, seq, std::forward<F>(fn));
   }
 
   void cancel(EventId id) { queue_.cancel(id); }

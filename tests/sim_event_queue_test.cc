@@ -64,6 +64,21 @@ TEST(EventQueue, CancelAllLeavesQueueEmpty) {
   EXPECT_EQ(q.next_time(), kTimeInfinity);
 }
 
+TEST(EventQueue, DefaultEventIdNamesNoEvent) {
+  // The first event on a fresh queue takes slot 0; its generation starts
+  // at 1, so a default-initialized EventId{} (slot 0, generation 0) must
+  // not cancel it.
+  EventQueue q;
+  int ran = 0;
+  const EventId first = q.schedule(1, [&] { ++ran; });
+  EXPECT_NE(first, EventId{});
+  q.cancel(EventId{});
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(q.cancelled_total(), 0u);
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(ran, 1);
+}
+
 TEST(EventQueue, NextTimeSkipsCancelled) {
   EventQueue q;
   const EventId id = q.schedule(5, [] {});

@@ -173,16 +173,17 @@ TEST(StreamingMode, PeakFlowBytesTracksActiveNotTotalFlows) {
 }
 
 TEST(StreamingMode, PeakPendingEventsTrackActiveNotTotalFlows) {
-  // Flow-creation events used to be scheduled up front, so the pending-
+  // Flow start events used to be scheduled up front, so the pending-
   // event peak was O(total flows) even when arrivals spread over 30 s.
-  // Streaming runs now chain creations through reserved sequence
-  // numbers (tie-break order unchanged): the peak follows the *active*
-  // population. The default path still schedules everything at setup.
+  // Both paths now chain the initial flow set's start (default) or
+  // creation (streaming) events through reserved sequence numbers
+  // (tie-break order unchanged): the peak follows the *active*
+  // population in either mode.
   const Scenario sc = open_loop_scenario(2000, 500.0);
   const auto vec = run_mode(sc, "PDQ(Full)", false);
   const auto str = run_mode(sc, "PDQ(Full)", true);
   EXPECT_EQ(vec.result.completed(), str.result.completed());
-  EXPECT_GE(vec.result.engine.peak_pending_events, 2000u);
+  EXPECT_LT(vec.result.engine.peak_pending_events, 500u);
   EXPECT_LT(str.result.engine.peak_pending_events, 500u);
 }
 
