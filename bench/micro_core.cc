@@ -5,6 +5,7 @@
 
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "core/pdq_switch.h"
 #include "net/builders.h"
@@ -52,6 +53,39 @@ void BM_EventQueueHold(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventQueueHold)->Arg(300)->Arg(2000)->Arg(12000);
+
+/// Retransmission-timer churn in the shape of TcpSender::arm_timer():
+/// each of state.range(0) flows holds one near event (its next packet,
+/// about 12 us ahead) and one timer 1 ms ahead. One item pops the
+/// earliest near event, cancels and re-arms its flow's timer, and
+/// schedules the flow's next near event, so every item buries one
+/// cancelled timer far ahead of the clock.
+void BM_EventQueueTimerChurn(benchmark::State& state) {
+  const auto flows = static_cast<std::size_t>(state.range(0));
+  sim::EventQueue q;
+  std::vector<sim::EventId> timers(flows);
+  std::size_t ran = 0;  // flow of the near event that ran last
+  std::uint64_t x = 9;
+  const auto near_delay = [&x] {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return 11 * sim::kMicrosecond + static_cast<sim::Time>((x >> 33) % 2000);
+  };
+  for (std::size_t f = 0; f < flows; ++f) {
+    q.schedule(near_delay(), [&ran, f] { ran = f; });
+    timers[f] = q.schedule(sim::kMillisecond, [] {});
+  }
+  for (auto _ : state) {
+    auto ev = q.pop();
+    ev.fn();
+    q.cancel(timers[ran]);
+    timers[ran] =
+        q.schedule_as_if(ev.at + sim::kMillisecond, ev.at, [] {});
+    benchmark::DoNotOptimize(q.schedule_as_if(
+        ev.at + near_delay(), ev.at, [&ran, f = ran] { ran = f; }));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueTimerChurn)->Arg(64)->Arg(512);
 
 void BM_SimulatorEventCascade(benchmark::State& state) {
   for (auto _ : state) {

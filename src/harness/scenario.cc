@@ -135,8 +135,15 @@ RunResult run_prepared(ProtocolStack& stack, sim::Simulator& simulator,
   };
 
   const bool streaming = opts.streaming != nullptr;
-  assert(!(streaming && opts.per_flow_series) &&
-         "per-flow series needs per-flow agents for the whole run");
+  if (streaming && opts.per_flow_series) {
+    std::fprintf(stderr,
+                 "run_prepared: per-flow goodput series "
+                 "(RunOptions::per_flow_series) cannot run in "
+                 "streaming-metrics mode (RunOptions::streaming) — the "
+                 "sampler reads every flow's sender for the whole run, "
+                 "and streaming builds senders late and retires them\n");
+    std::exit(2);
+  }
   // Loss hardening rides with the fault plane (FaultSpec::
   // harden_protocols): the TERM-retry timer schedules events, which
   // would shift sequence numbers on the byte-identical golden path.
@@ -523,6 +530,19 @@ RunResult run_prepared(ProtocolStack& stack, sim::Simulator& simulator,
   const sim::Time setup_now = simulator.now();
   std::vector<std::size_t> chain_order;   // slot indices, by (start, add)
   std::vector<std::uint64_t> chain_seqs;  // parallel to slots
+  // Size the per-flow tables once: growing them by doubling leaves freed
+  // buffers of several MB behind on the 100k-flow runs.
+  slots.reserve(flows.size());
+  senders.reserve(flows.size());
+  sender_specs.reserve(flows.size());
+  sender_routes.reserve(flows.size());
+  chain_seqs.reserve(flows.size());
+  if (hybrid) {
+    phase.reserve(flows.size());
+    hyb_seg.reserve(flows.size());
+    hyb_done.reserve(flows.size());
+    attach_id.reserve(flows.size());
+  }
   for (const auto& f : flows) {
     const std::size_t idx = add_slot(f);
     if (!streaming) materialize(idx);
@@ -555,7 +575,8 @@ RunResult run_prepared(ProtocolStack& stack, sim::Simulator& simulator,
   // Optional per-flow goodput sampler (Fig 6/7 time-series plots). The
   // recurring event holds a weak reference to its own closure: a shared
   // self-capture would form an ownership cycle and leak the sampler.
-  auto prev = std::make_shared<std::vector<std::int64_t>>(flows.size(), 0);
+  // `prev` is sized by grow_series, which runs only with per_flow_series.
+  auto prev = std::make_shared<std::vector<std::int64_t>>();
   auto sample = std::make_shared<std::function<void()>>();
   // Timeline injections grow the flow set mid-run; series rows join
   // late (leading bins absent — their flows did not exist yet).
@@ -948,6 +969,7 @@ RunResult run_prepared(ProtocolStack& stack, sim::Simulator& simulator,
     }
     result.streaming = run_stats;
   } else {
+    result.flows.reserve(senders.size() + stillborn.size());
     for (net::Agent* s : senders) {
       const net::FlowResult* r = s->flow_result();
       assert(r != nullptr);

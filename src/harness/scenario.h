@@ -101,7 +101,7 @@ struct RunOptions {
   /// per-flow memory becomes O(active flows), not O(total flows) — the
   /// 100k+-flow scale points. Null (the default) runs the historical
   /// materialize-everything path byte-for-byte. Incompatible with
-  /// per_flow_series.
+  /// per_flow_series: run_prepared exits with code 2 when both are set.
   std::shared_ptr<const stats::StreamingSpec> streaming;
   /// Hybrid packet/fluid fast-forward (see HybridSpec). Null (the
   /// default) keeps every flow in the packet engine byte-for-byte.

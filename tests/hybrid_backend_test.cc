@@ -1,7 +1,8 @@
 // Hybrid packet/fluid backend (RunOptions::hybrid): the differential
 // that pins it against the pure-packet engine on a small fabric, the
-// deadline-flow carve-out (those never leave the packet engine), and
-// the streaming-mode requirement.
+// deadline-flow carve-out (those never leave the packet engine), the
+// streaming-mode requirement, and streaming mode's refusal of per-flow
+// goodput series.
 #include "harness/sweep.h"
 
 #include <gtest/gtest.h>
@@ -137,6 +138,16 @@ TEST(HybridBackendDeathTest, RequiresStreamingMode) {
   sc.options.hybrid = small_hybrid();
   EXPECT_EXIT(SweepRunner::run_sample(sc, "PDQ(Full)", {}, kDefaultBaseSeed),
               ::testing::ExitedWithCode(2), "hybrid");
+}
+
+TEST(StreamingModeDeathTest, RejectsPerFlowSeries) {
+  // The goodput sampler reads every flow's sender on every bin; streaming
+  // builds senders at flow start and retires them at termination. The
+  // check must hold in every build type, not only under assert().
+  Scenario sc = hybrid_mix_scenario(10);
+  sc.options.per_flow_series = true;
+  EXPECT_EXIT(SweepRunner::run_sample(sc, "PDQ(Full)", {}, kDefaultBaseSeed),
+              ::testing::ExitedWithCode(2), "per_flow_series");
 }
 
 }  // namespace

@@ -17,8 +17,8 @@ namespace pdq::sim {
 namespace {
 
 /// The obviously correct reference: an unsorted vector of
-/// (time, vtime, seq) records with eager cancellation, searched for the
-/// minimal key on every query.
+/// (time, vtime, seq) records, erased on cancellation and searched for
+/// the minimal key on every query.
 class NaiveQueue {
  public:
   /// Claims the next sequence number without scheduling anything.
@@ -31,31 +31,25 @@ class NaiveQueue {
   }
 
   void schedule_with_seq(Time at, Time vtime, std::uint64_t seq) {
-    entries_.push_back({at, vtime, seq, false});
+    entries_.push_back({at, vtime, seq});
   }
 
+  /// Drops the entry; a seq that already ran or was cancelled is absent.
   void cancel(std::uint64_t seq) {
-    for (auto& e : entries_) {
-      if (e.seq == seq && !e.cancelled) {
-        e.cancelled = true;
-        return;
-      }
-    }
+    const auto it =
+        std::find_if(entries_.begin(), entries_.end(),
+                     [seq](const Entry& e) { return e.seq == seq; });
+    if (it != entries_.end()) entries_.erase(it);
   }
 
-  std::size_t pending() const {
-    std::size_t n = 0;
-    for (const auto& e : entries_)
-      if (!e.cancelled) ++n;
-    return n;
-  }
+  std::size_t pending() const { return entries_.size(); }
 
   Time next_time() const {
     const std::size_t best = min_live();
     return best == entries_.size() ? kTimeInfinity : entries_[best].at;
   }
 
-  /// Pops the (time, vtime, seq)-minimal live entry; returns its seq.
+  /// Pops the (time, vtime, seq)-minimal entry; returns its seq.
   std::uint64_t pop() {
     const std::size_t best = min_live();
     const std::uint64_t seq = entries_[best].seq;
@@ -68,15 +62,13 @@ class NaiveQueue {
     Time at;
     Time vtime;
     std::uint64_t seq;
-    bool cancelled;
   };
 
-  /// Index of the minimal live entry, or entries_.size() when none.
+  /// Index of the minimal entry, or entries_.size() when none.
   std::size_t min_live() const {
     std::size_t best = entries_.size();
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       const Entry& e = entries_[i];
-      if (e.cancelled) continue;
       if (best == entries_.size() ||
           std::tie(e.at, e.vtime, e.seq) <
               std::tie(entries_[best].at, entries_[best].vtime,
@@ -169,6 +161,142 @@ TEST(EventQueueProperty, RandomInterleavingsMatchNaiveModel) {
     }
     EXPECT_EQ(ran, model_ran);
     EXPECT_EQ(model.pending(), 0u);
+  }
+}
+
+TEST(EventQueueProperty, MonotoneClockMatchesNaiveModel) {
+  // The simulator's own usage: every schedule lands at or after the clock
+  // (the time of the last popped event). Delays span 0 to 2^40 ns so keys
+  // cross many bucket boundaries of a time-keyed queue; the running event
+  // schedules at its own instant, also with reservations older than its
+  // own seq; timers are cancelled and re-armed ~1 ms ahead and whole
+  // swaths of events are cancelled at once, burying more tombstones than
+  // live events; and next_time() may settle on a later event just before
+  // a schedule lands between the clock and that event.
+  for (std::uint64_t seed : {3u, 77u, 31337u}) {
+    Rng rng(seed);
+    EventQueue q;
+    NaiveQueue model;
+    // Indexed by model seq: the real id, and whether the event is still
+    // scheduled (neither run nor cancelled).
+    std::vector<EventId> id_of;
+    std::vector<char> live;
+    struct Reservation {
+      std::uint64_t seq;
+      Time vtime;  // the clock when the seq was claimed
+    };
+    std::vector<Reservation> reserved;
+    std::vector<std::uint64_t> timers(16, ~std::uint64_t{0});
+    Time now = 0;
+    std::uint64_t now_seq = 0;  // seq of the event that ran last
+
+    const auto draw_delay = [&rng]() -> Time {
+      switch (rng.uniform_int(0, 3)) {
+        case 0:
+          return 0;
+        case 1:
+          return rng.uniform_int(1, Time{1} << 10);
+        case 2:
+          return rng.uniform_int(Time{1} << 14, Time{1} << 17);
+        default:
+          return rng.uniform_int(Time{1} << 20, Time{1} << 40);
+      }
+    };
+    const auto track = [&](std::uint64_t mseq, EventId id) {
+      if (id_of.size() <= mseq) {
+        id_of.resize(mseq + 1, EventId{});
+        live.resize(mseq + 1, 0);
+      }
+      id_of[mseq] = id;
+      live[mseq] = 1;
+    };
+    const auto schedule = [&](Time at) {
+      const std::uint64_t mseq = model.schedule(at, now);
+      track(mseq, q.schedule_as_if(at, now, [mseq, &live] { live[mseq] = 0; }));
+      return mseq;
+    };
+    const auto schedule_reserved = [&](std::size_t k, Time at) {
+      const Reservation r = reserved[k];
+      reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(k));
+      model.schedule_with_seq(at, r.vtime, r.seq);
+      track(r.seq, q.schedule_with_seq(at, r.vtime, r.seq,
+                                       [s = r.seq, &live] { live[s] = 0; }));
+    };
+    const auto cancel = [&](std::uint64_t mseq) {
+      if (mseq >= id_of.size()) return;
+      q.cancel(id_of[mseq]);
+      model.cancel(mseq);
+      live[mseq] = 0;
+    };
+
+    for (int step = 0; step < 20000; ++step) {
+      // Alternate growing and draining phases so pending() sweeps from
+      // empty to several hundred events and back.
+      const bool grow = (step / 2500) % 2 == 0;
+      const auto op = rng.uniform_int(0, 19);
+      if (q.empty() || op < (grow ? 7 : 2)) {
+        schedule(now + draw_delay());
+      } else if (op < 7 || op >= 17) {
+        const std::uint64_t mseq = model.pop();
+        const auto ev = q.pop();
+        ASSERT_EQ(ev.seq, mseq) << "step " << step;
+        ASSERT_GE(ev.at, now);
+        now = ev.at;
+        now_seq = ev.seq;
+      } else if (op == 7) {  // same instant, vtime = now
+        schedule(now);
+      } else if (op == 8) {
+        const std::uint64_t mseq = model.reserve();
+        ASSERT_EQ(q.reserve_seq(), mseq);
+        reserved.push_back({mseq, now});
+      } else if (op == 9) {  // same instant, a seq older than the runner's
+        if (reserved.empty()) continue;
+        std::size_t k = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(reserved.size()) - 1));
+        for (std::size_t i = 0; i < reserved.size(); ++i) {
+          if (reserved[i].seq < now_seq) k = i;
+        }
+        schedule_reserved(k, now);
+      } else if (op == 10) {  // a reservation spent at a later time
+        if (reserved.empty()) continue;
+        schedule_reserved(static_cast<std::size_t>(rng.uniform_int(
+                              0, static_cast<std::int64_t>(reserved.size()) -
+                                     1)),
+                          now + draw_delay());
+      } else if (op <= 12) {  // cancel and re-arm a retransmission timer
+        std::uint64_t& t = timers[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(timers.size()) - 1))];
+        cancel(t);
+        t = schedule(now + kMillisecond + rng.uniform_int(0, 1000));
+      } else if (op == 13) {  // cancel a random seq: live, run or stale
+        const auto hi = static_cast<std::int64_t>(model.reserve()) - 1;
+        ASSERT_EQ(static_cast<std::int64_t>(q.reserve_seq()), hi + 1);
+        cancel(static_cast<std::uint64_t>(rng.uniform_int(0, hi)));
+      } else if (op == 14) {  // burst: cancel ~3/4 of the live events
+        if (rng.uniform_int(0, 9) != 0) continue;
+        for (std::uint64_t mseq = 0; mseq < live.size(); ++mseq) {
+          if (live[mseq] && rng.uniform_int(0, 3) != 0) cancel(mseq);
+        }
+      } else if (op == 15) {  // settle on the next event, schedule below it
+        const Time next = q.next_time();
+        ASSERT_EQ(next, model.next_time()) << "step " << step;
+        if (next == kTimeInfinity || next == now) continue;
+        schedule(rng.uniform_int(now, next - 1));
+      } else {  // look without popping
+        ASSERT_EQ(q.next_time(), model.next_time()) << "step " << step;
+      }
+      ASSERT_EQ(q.pending(), model.pending()) << "step " << step;
+      ASSERT_EQ(q.empty(), model.pending() == 0);
+    }
+    // Spend the outstanding reservations, then drain: the two must pop
+    // the identical sequence.
+    while (!reserved.empty()) schedule_reserved(0, now + draw_delay());
+    while (!q.empty()) {
+      ASSERT_EQ(q.next_time(), model.next_time());
+      ASSERT_EQ(q.pop().seq, model.pop());
+    }
+    EXPECT_EQ(model.pending(), 0u);
+    EXPECT_EQ(q.next_time(), kTimeInfinity);
   }
 }
 
